@@ -216,6 +216,9 @@ class Element:
         return self._terms == other._terms
 
     def __hash__(self):
+        # a pure scalar, 0 included, hashes like the scalar it equals
+        if self.is_scalar():
+            return hash(self.scalar_part())
         return hash(frozenset(self._terms.items()))
 
     def __bool__(self):

@@ -6,6 +6,13 @@ rational coefficients.  Everything is kept in a canonical reduced form
 scalars is a structural comparison, never a numerical one.  The q -> 1
 specialisation needed by the contraction machinery is provided by
 ``ScalarQ.limit_at_one``, which raises ``PoleAtOne`` on a genuine pole.
+
+Each component of a Gaussian rational is a plain ``int`` when it is
+integral and a ``Fraction`` only otherwise; division goes through
+``Fraction`` and integral results come back as ``int``.  Reducing a scalar
+needs no polynomial gcd when its denominator is 1 or a monomial c*q^k: the
+gcd is then a power of q, removed by shifting coefficients.  Only a
+denominator with two or more terms, such as q-1, runs Euclid's algorithm.
 """
 
 from __future__ import annotations
@@ -25,14 +32,27 @@ class PoleAtOne(ArithmeticError):
 _RationalLike = Union[int, Fraction]
 
 
+def _rational(x: _RationalLike) -> _RationalLike:
+    """``x`` as an ``int`` when it is integral, else as a ``Fraction``."""
+    if type(x) is int:
+        return x
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
 class GaussianRational:
-    """A number a + b*i with exact rational a, b."""
+    """A number a + b*i with exact rational a, b.
+
+    ``re`` and ``im`` are each an ``int`` when integral and a ``Fraction``
+    otherwise, so equal numbers have identical components.
+    """
 
     __slots__ = ("re", "im")
 
     def __init__(self, re: _RationalLike = 0, im: _RationalLike = 0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        object.__setattr__(self, "re", _rational(re))
+        object.__setattr__(self, "im", _rational(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
@@ -90,8 +110,8 @@ class GaussianRational:
         if not norm:
             raise DivisionByZero("division by zero Gaussian rational")
         return GaussianRational(
-            (self.re * other.re + self.im * other.im) / norm,
-            (self.im * other.re - self.re * other.im) / norm,
+            Fraction(self.re * other.re + self.im * other.im, norm),
+            Fraction(self.im * other.re - self.re * other.im, norm),
         )
 
     def __rtruediv__(self, other):
@@ -104,7 +124,8 @@ class GaussianRational:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real number hashes like the int or Fraction it equals
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def __bool__(self):
         return not self.is_zero()
@@ -302,11 +323,17 @@ class ScalarQ:
             raise DivisionByZero("scalar with zero denominator")
         if num.is_zero():
             num, den = _P_ZERO, _P_ONE
-        elif den.degree == 0:
+        elif not any(den.coeffs[:-1]):
+            # den = c*q^k; gcd(num, den) = q^min(k, v), v the lowest degree in num
+            k = den.degree
+            v = next(j for j, c in enumerate(num.coeffs) if c)
+            shift = min(k, v)
+            if shift:
+                num = PolyQ(num.coeffs[shift:])
             lead = den.lead
             if lead != _G_ONE:
                 num = num.scale(_G_ONE / lead)
-            den = _P_ONE
+            den = PolyQ([_G_ZERO] * (k - shift) + [_G_ONE]) if k > shift else _P_ONE
         else:
             g = num.gcd(den)
             if g.degree > 0:
@@ -316,6 +343,14 @@ class ScalarQ:
             num = num.scale(_G_ONE / lead)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
+
+    @staticmethod
+    def _canonical(num: PolyQ, den: PolyQ) -> "ScalarQ":
+        """Wrap a pair already in canonical form, skipping the reduction."""
+        out = object.__new__(ScalarQ)
+        object.__setattr__(out, "num", num)
+        object.__setattr__(out, "den", den)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("ScalarQ is immutable")
@@ -338,6 +373,8 @@ class ScalarQ:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if self.den.degree == other.den.degree == 0:  # canonical: both are 1
+            return ScalarQ._canonical(self.num + other.num, _P_ONE)
         return ScalarQ(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
@@ -358,6 +395,8 @@ class ScalarQ:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if self.den.degree == other.den.degree == 0:  # canonical: both are 1
+            return ScalarQ._canonical(self.num * other.num, _P_ONE)
         return ScalarQ(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -408,6 +447,9 @@ class ScalarQ:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
+        # a constant hashes like the number it equals
+        if self.den.degree == 0 and self.num.degree <= 0:
+            return hash(self.num.lead)
         return hash((self.num, self.den))
 
     def __bool__(self):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from hsuperplane.algebra import Element
 from hsuperplane.scalar import (
     DivisionByZero,
     GaussianRational,
@@ -142,6 +143,21 @@ def test_scalar_canonical_form():
     t = ScalarQ(one, (q - one).scale(GaussianRational(2)))
     assert t.den == q - one
     assert t.num == PolyQ.constant(Fraction(1, 2))
+    # a monomial denominator c*q^k cancels against the numerator's q-power
+    q2, q3 = q * q, q * q * q
+    u = ScalarQ(q3, (q2 * q3).scale(GaussianRational(2)))
+    assert u.num == PolyQ.constant(Fraction(1, 2))
+    assert u.den == q2
+    v = ScalarQ(q2 + q, q)
+    assert v.num == q + one
+    assert v.den == one
+    w = ScalarQ(one + q, q3)
+    assert w.num == one + q
+    assert w.den == q3
+    # components are ints when integral, Fractions otherwise
+    two = GaussianRational(Fraction(4, 2)).re
+    assert type(two) is int and two == 2
+    assert (GaussianRational(1) / 3).re == Fraction(1, 3)
 
 
 def test_scalar_field_axioms():
@@ -230,3 +246,12 @@ def test_scalar_hashable():
     seen = {Q: "q", ONE: "one"}
     assert seen[ScalarQ(PolyQ.variable())] == "q"
     assert seen[(Q * Q - 1) / (Q * Q - 1)] == "one"
+
+
+def test_constants_hash_like_numbers():
+    assert len({ONE, 1}) == 1
+    assert hash(GaussianRational(Fraction(4, 2))) == hash(2)
+    assert hash(sc(Fraction(1, 2))) == hash(Fraction(1, 2))
+    assert hash(I) == hash(GaussianRational(0, 1))
+    assert {Element.scalar(1): "x"}[1] == "x"
+    assert hash(Element()) == hash(ZERO) == hash(0)

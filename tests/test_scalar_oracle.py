@@ -1,0 +1,136 @@
+"""The scalar field Q(i)(q) checked against sympy, an independent oracle.
+
+Inputs reach every reduction path of ``ScalarQ``: integer constants (unit
+denominator), Laurent monomials c*q^k with positive and negative k
+(monomial denominator), and quotients whose numerator and denominator share
+a non-monomial factor such as q-1 or q^2+1 (the Euclidean gcd).
+Coefficients include Fractions and non-real Gaussian rationals.
+"""
+
+import operator
+from fractions import Fraction
+
+import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hsuperplane.scalar import GaussianRational, PolyQ, ScalarQ, qpow, sc
+
+# derandomized, so the tier-1 run is deterministic; no example database on disk
+ORACLE = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+
+QS = sympy.Symbol("q")
+
+# -- inputs ----------------------------------------------------------------------
+
+small_ints = st.integers(-6, 6)
+rationals = st.one_of(
+    small_ints,
+    st.builds(Fraction, small_ints, st.integers(1, 4)),
+)
+gaussians = st.one_of(
+    st.builds(GaussianRational, rationals),
+    st.builds(GaussianRational, rationals, rationals),
+)
+polys = st.lists(gaussians, min_size=1, max_size=3).map(PolyQ)
+SHARED_FACTORS = (
+    PolyQ([-1, 1]),  # q - 1
+    PolyQ([1, 0, 1]),  # q^2 + 1
+    PolyQ([1, 1]),  # q + 1
+    PolyQ([0, 1]),  # q
+)
+
+
+@st.composite
+def laurent_monomials(draw):
+    return sc(draw(gaussians)) * qpow(draw(st.integers(-4, 4)))
+
+
+@st.composite
+def quotients(draw):
+    """num*f / den*f, with f a shared factor the reduction must cancel."""
+    factor = draw(st.sampled_from(SHARED_FACTORS))
+    num = draw(polys)
+    den = draw(polys.filter(lambda p: not p.is_zero()))
+    return ScalarQ(num * factor, den * factor)
+
+
+scalars = st.one_of(
+    small_ints.map(sc),
+    laurent_monomials(),
+    quotients(),
+)
+nonzero_scalars = scalars.filter(lambda s: not s.is_zero())
+
+# -- oracle and invariant ----------------------------------------------------------
+
+
+def sym_number(x):
+    if isinstance(x, GaussianRational):
+        return sym_number(x.re) + sympy.I * sym_number(x.im)
+    x = Fraction(x)
+    return sympy.Rational(x.numerator, x.denominator)
+
+
+def sym_poly(p):
+    return sympy.Poly.from_list([sym_number(c) for c in reversed(p.coeffs)], QS, domain=sympy.QQ_I)
+
+
+def sym_scalar(s):
+    return sym_poly(s.num), sym_poly(s.den)
+
+
+# each operator beside its sympy counterpart on (numerator, denominator) pairs
+OPS = {
+    "add": (operator.add, lambda a, b: (a[0] * b[1] + b[0] * a[1], a[1] * b[1])),
+    "sub": (operator.sub, lambda a, b: (a[0] * b[1] - b[0] * a[1], a[1] * b[1])),
+    "mul": (operator.mul, lambda a, b: (a[0] * b[0], a[1] * b[1])),
+    "truediv": (operator.truediv, lambda a, b: (a[0] * b[1], a[1] * b[0])),
+}
+
+
+def assert_matches_sympy(result, expected):
+    """``result`` is sympy's ``cancel`` of ``expected`` with a monic denominator."""
+    num, den = expected[0].cancel(expected[1], include=True)
+    assert sym_poly(result.num) == num.quo_ground(den.LC())
+    assert sym_poly(result.den) == den.monic()
+
+
+def assert_canonical(s):
+    for p in (s.num, s.den):
+        for c in p.coeffs:
+            for part in (c.re, c.im):
+                assert type(part) is (int if Fraction(part).denominator == 1 else Fraction)
+    assert s.den.lead == GaussianRational(1)
+    assert sym_poly(s.num).gcd(sym_poly(s.den)).degree() <= 0
+
+
+# -- tests -------------------------------------------------------------------------------
+
+
+@ORACLE
+@given(num=polys, den=polys.filter(lambda p: not p.is_zero()))
+def test_construction_matches_sympy(num, den):
+    s = ScalarQ(num, den)
+    assert_canonical(s)
+    assert_matches_sympy(s, (sym_poly(num), sym_poly(den)))
+
+
+@pytest.mark.parametrize("name", sorted(OPS))
+@ORACLE
+@given(a=scalars, b=nonzero_scalars)
+def test_binary_ops_match_sympy(name, a, b):
+    op, sym_op = OPS[name]
+    result = op(a, b)
+    assert_canonical(result)
+    assert_matches_sympy(result, sym_op(sym_scalar(a), sym_scalar(b)))
+
+
+@ORACLE
+@given(a=nonzero_scalars, k=st.integers(-3, 3))
+def test_power_matches_sympy(a, k):
+    result = a**k
+    assert_canonical(result)
+    num, den = sym_scalar(a)
+    assert_matches_sympy(result, (num**k, den**k) if k >= 0 else (den**-k, num**-k))
