@@ -7,6 +7,11 @@ reorders by default graded commutation with the Koszul sign
 (-1)**(parity*parity), and an odd generator with no explicit square rule has
 square zero.  Rewriting repeatedly replaces the first reducible adjacent pair
 until no rule or default applies; the result is the normal form.
+
+A presentation compiles its rules and the Koszul defaults into one pair
+table when it is built: each reducible pair of generator names maps to the
+(word, coefficient) terms that replace it, so finding and applying a rewrite
+is one dict lookup per adjacent pair.
 """
 
 from __future__ import annotations
@@ -18,10 +23,37 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 from .scalar import ONE, ScalarQ, GaussianRational, sc
 
 _MINUS_ONE = -ONE
+# rule coefficients equal to +-1 are stored as these shared objects, which
+# rewriting recognises by identity and never multiplies by
+_UNITS = {ONE: ONE, _MINUS_ONE: _MINUS_ONE}
 
 Word = tuple  # tuple[str, ...]
 
 _RESERVED_NAMES = frozenset({"q", "i", "d"})
+
+# memo mark of a word whose reduction has started but not finished
+_PENDING = object()
+
+
+def _accumulate(terms: dict, word: Word, coeff: ScalarQ) -> None:
+    """Add ``coeff`` to ``terms[word]``, dropping the entry when it sums to 0."""
+    acc = terms.get(word)
+    acc = coeff if acc is None else acc + coeff
+    if acc.is_zero():
+        terms.pop(word, None)
+    else:
+        terms[word] = acc
+
+
+def _combine(steps, memo: dict) -> dict:
+    """Terms of the sum of c * memo[child] over the (child, c) of a rewrite."""
+    if len(steps) == 1 and steps[0][1] is ONE:
+        return memo[steps[0][0]]
+    terms = {}
+    for child, c in steps:
+        for w, c2 in memo[child].items():
+            _accumulate(terms, w, c2 if c is ONE else c * c2)
+    return terms
 
 
 class AlgebraError(Exception):
@@ -33,7 +65,7 @@ class UnknownGeneratorError(AlgebraError):
 
 
 class NonTerminatingError(AlgebraError):
-    """Rewriting exceeded its step budget; the rule set does not terminate."""
+    """Rewriting exceeded its work budget or cycled; the rules do not terminate."""
 
 
 class RuleError(AlgebraError):
@@ -146,12 +178,7 @@ class Element:
             return NotImplemented
         out = dict(self._terms)
         for w, c in other._terms.items():
-            acc = out.get(w)
-            acc = c if acc is None else acc + c
-            if acc.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = acc
+            _accumulate(out, w, c)
         return Element(out)
 
     __radd__ = __add__
@@ -176,14 +203,7 @@ class Element:
         out = {}
         for w1, c1 in self._terms.items():
             for w2, c2 in other._terms.items():
-                w = w1 + w2
-                c = c1 * c2
-                acc = out.get(w)
-                acc = c if acc is None else acc + c
-                if acc.is_zero():
-                    out.pop(w, None)
-                else:
-                    out[w] = acc
+                _accumulate(out, w1 + w2, c1 * c2)
         return Element(out)
 
     def __rmul__(self, other):
@@ -323,15 +343,40 @@ class Presentation:
         self._nf_cache = {}
         for lhs, rhs in rules.items():
             self._check_lhs_shape(lhs, rhs)
+        self._pairs = self._compile_pairs()
         if _normalize and rules:
             for lhs in list(rules):
                 self._nf_cache.clear()
                 rules[lhs] = self.normal_form(rules[lhs])
+                self._pairs[lhs] = self._pair_entry(rules[lhs])
             self._nf_cache.clear()
         for lhs, rhs in rules.items():
             self._check_rule_invariants(lhs, rhs)
 
     # -- construction checks -------------------------------------------------
+
+    def _compile_pairs(self) -> dict:
+        """Pair table: each reducible pair (a, b) of names -> its rewrite terms.
+
+        A rule's terms are its right-hand side; a descending pair with no
+        rule swaps with the Koszul sign; an odd square with no rule maps to
+        no terms (it is zero).
+        """
+        table = {}
+        for a in self.generators:
+            for b in self.generators:
+                if a.order_index > b.order_index:
+                    sign = _MINUS_ONE if a.parity and b.parity else ONE
+                    table[a.name, b.name] = (((b.name, a.name), sign),)
+                elif a is b and a.parity:
+                    table[a.name, b.name] = ()
+        for lhs, rhs in self._rules.items():
+            table[lhs] = self._pair_entry(rhs)
+        return table
+
+    @staticmethod
+    def _pair_entry(rhs: Element) -> tuple:
+        return tuple((w, _UNITS.get(c, c)) for w, c in rhs.items())
 
     def _check_rule_shape(self, lhs: Word, rhs: Element):
         if len(lhs) != 2:
@@ -411,39 +456,35 @@ class Presentation:
     # -- rewriting -----------------------------------------------------------
 
     def reducible_pair(self, a: str, b: str) -> bool:
-        if (a, b) in self._rules:
+        if (a, b) in self._pairs:
             return True
-        ga, gb = self.generator(a), self.generator(b)
-        if a == b:
-            return ga.parity == 1
-        return ga.order_index > gb.order_index
+        self.generator(a)
+        self.generator(b)
+        return False
 
     def _step_at(self, word: Word, i: int):
         """One rewrite at position i, as a list of (word, coeff); None if inert."""
-        pair = (word[i], word[i + 1])
-        rhs = self._rules.get(pair)
-        if rhs is not None:
-            head, tail = word[:i], word[i + 2:]
-            return [(head + rw + tail, rc) for rw, rc in rhs.items()]
-        ga, gb = self.generator(pair[0]), self.generator(pair[1])
-        if pair[0] == pair[1]:
-            if ga.parity == 1:
-                return []
+        terms = self._pairs.get((word[i], word[i + 1]))
+        if terms is None:
             return None
-        if ga.order_index > gb.order_index:
-            coeff = _MINUS_ONE if ga.parity and gb.parity else ONE
-            return [(word[:i] + (pair[1], pair[0]) + word[i + 2:], coeff)]
-        return None
+        head, tail = word[:i], word[i + 2:]
+        return [(head + rw + tail, rc) for rw, rc in terms]
 
-    def _first_reducible(self, word: Word, strategy: str = "leftmost", start: int = 0):
+    def _first_reducible(self, word: Word, strategy: str = "leftmost"):
         if strategy == "rightmost":
             positions = reversed(range(len(word) - 1))
         else:
-            positions = range(start, len(word) - 1)
+            positions = range(len(word) - 1)
+        pairs = self._pairs
         for i in positions:
-            if self.reducible_pair(word[i], word[i + 1]):
+            if (word[i], word[i + 1]) in pairs:
                 return i
         return None
+
+    def _check_letters(self, word: Word) -> None:
+        for g in word:
+            if g not in self._by_name:
+                self.generator(g)
 
     def normal_form(
         self,
@@ -454,78 +495,135 @@ class Presentation:
     ) -> Element:
         """Rewrite to normal form; raises NonTerminatingError past the budget.
 
-        The budget counts work units, one per letter of each word rewritten,
-        so runaway systems that grow their words are cut off early.
+        The budget, ``DEFAULT_MAX_STEPS`` = 5,000,000 work units unless
+        ``max_steps`` is given, bounds the work of one call: a work unit is
+        one letter of each distinct word rewritten in the call, so a runaway
+        rule set that grows its words is cut off early, and one that cycles
+        back to a word it is still reducing is stopped at once.
+
+        ``strategy="leftmost"`` (the default) rewrites the first reducible
+        pair.  It memoises the normal form of every word it reaches, in a
+        memo dropped when the call returns, so each word is rewritten once
+        per call; the normal forms of input words are also kept across calls
+        in the presentation's cache.  ``strategy="rightmost"`` rewrites the
+        last reducible pair and follows every rewrite path with no memo and
+        no cache; on a confluent presentation both give the same result.
         """
         element = as_element(element)
         budget = max_steps if max_steps is not None else self.DEFAULT_MAX_STEPS
-        use_cache = strategy == "leftmost"
+        if strategy not in ("leftmost", "rightmost"):
+            raise ValueError(f"unknown rewriting strategy {strategy!r}")
+        leftmost = strategy == "leftmost"
+        memo = {}
+        spent = 0
         out = {}
-
-        def accumulate(word, coeff):
-            acc = out.get(word)
-            acc = coeff if acc is None else acc + coeff
-            if acc.is_zero():
-                out.pop(word, None)
-            else:
-                out[word] = acc
-
         for start_word, start_coeff in element.items():
-            cached = self._nf_cache.get(start_word) if use_cache else None
-            if cached is not None:
-                for w, c in cached.items():
-                    accumulate(w, c * start_coeff)
-                continue
-            local = {}
-            stack = [(start_word, ONE, 0)]
-            while stack:
-                w, c, resume = stack.pop()
-                cached = self._nf_cache.get(w) if use_cache else None
-                if cached is not None:
-                    for w2, c2 in cached.items():
-                        acc = local.get(w2)
-                        acc = c * c2 if acc is None else acc + c * c2
-                        if acc.is_zero():
-                            local.pop(w2, None)
-                        else:
-                            local[w2] = acc
-                    continue
-                i = self._first_reducible(w, strategy, resume)
-                if i is None:
-                    acc = local.get(w)
-                    acc = c if acc is None else acc + c
-                    if acc.is_zero():
-                        local.pop(w, None)
-                    else:
-                        local[w] = acc
-                    continue
-                budget -= len(w)
-                if budget < 0:
-                    raise NonTerminatingError(
-                        f"rewriting exceeded step budget in presentation {self.name}"
-                    )
-                # after a rewrite at i, nothing left of i-1 can become reducible
-                again = i - 1 if i > 0 and strategy == "leftmost" else 0
-                for w2, c2 in self._step_at(w, i):
-                    if c2 is ONE:
-                        stack.append((w2, c, again))
-                    elif c2 is _MINUS_ONE:
-                        stack.append((w2, -c, again))
-                    else:
-                        stack.append((w2, c * c2, again))
-            result = Element(local)
-            if use_cache:
-                self._nf_cache[start_word] = result
+            result = self._nf_cache.get(start_word) if leftmost else None
+            if result is None:
+                self._check_letters(start_word)
+                if leftmost:
+                    terms, spent = self._reduce_leftmost(start_word, memo, spent, budget)
+                    result = self._nf_cache[start_word] = Element(terms)
+                else:
+                    terms, spent = self._reduce_rightmost(start_word, spent, budget)
+                    result = Element(terms)
             for w, c in result.items():
-                accumulate(w, c * start_coeff)
+                _accumulate(out, w, c * start_coeff)
         return Element(out)
+
+    def _reduce_leftmost(self, start: Word, memo: dict, spent: int, budget: int):
+        """Leftmost normal-form terms of ``start`` and the work units spent.
+
+        An iterative post-order walk: a word is rewritten once at its first
+        reducible pair, its children are reduced, and then its terms are
+        the sum of c * (terms of child).  ``memo`` maps each word finished
+        in this call to its terms (never mutated once stored) and each word
+        still being reduced to ``_PENDING``.
+        """
+        pairs, cache = self._pairs, self._nf_cache
+        # frames: [word, first position that can be reducible, children once rewritten]
+        todo = [[start, 0, None]]
+        while todo:
+            frame = todo[-1]
+            w, hint, steps = frame
+            if steps is not None:
+                todo.pop()
+                memo[w] = _combine(steps, memo)
+                continue
+            if w in memo:
+                todo.pop()
+                continue
+            cached = cache.get(w)
+            if cached is not None:
+                todo.pop()
+                memo[w] = cached._terms
+                continue
+            for i in range(hint, len(w) - 1):
+                rewrite = pairs.get((w[i], w[i + 1]))
+                if rewrite is not None:
+                    break
+            else:
+                todo.pop()
+                memo[w] = {w: ONE}
+                continue
+            spent = self._spend(start, w, spent, budget)
+            head, tail = w[:i], w[i + 2:]
+            frame[2] = steps = [(head + rw + tail, c) for rw, c in rewrite]
+            memo[w] = _PENDING
+            # after a rewrite at i, nothing left of i-1 can become reducible
+            again = i - 1 if i else 0
+            for child, _ in steps:
+                found = memo.get(child)
+                if found is None:
+                    todo.append([child, again, None])
+                elif found is _PENDING:
+                    raise self._nonterminating(
+                        "rewriting cycles back to a word it is still reducing",
+                        start, child, spent,
+                    )
+        return memo[start], spent
+
+    def _reduce_rightmost(self, start: Word, spent: int, budget: int):
+        """Rightmost normal-form terms of ``start`` and the work units spent,
+        following every rewrite path to its end: the memo-free reference
+        that the leftmost walk is checked against."""
+        terms = {}
+        stack = [(start, ONE)]
+        while stack:
+            w, c = stack.pop()
+            i = self._first_reducible(w, "rightmost")
+            if i is None:
+                _accumulate(terms, w, c)
+                continue
+            spent = self._spend(start, w, spent, budget)
+            for w2, c2 in self._step_at(w, i):
+                stack.append((w2, c * c2))
+        return terms, spent
+
+    def _spend(self, start: Word, word: Word, spent: int, budget: int) -> int:
+        spent += len(word)
+        if spent > budget:
+            raise self._nonterminating(
+                f"rewriting exceeded its budget of {budget} work units", start, word, spent
+            )
+        return spent
+
+    def _nonterminating(self, reason: str, start: Word, word: Word, spent: int):
+        return NonTerminatingError(
+            f"{reason} in presentation {self.name}: start word {'*'.join(start) or '1'}, "
+            f"current word of length {len(word)}, {spent} work units spent"
+        )
 
     def multiply(self, a, b) -> Element:
         """Normal form of the product a*b."""
         return self.normal_form(as_element(a) * as_element(b))
 
     def is_normal(self, element: Element) -> bool:
-        return all(self._first_reducible(w) is None for w in element.words())
+        for w in element.words():
+            self._check_letters(w)
+            if self._first_reducible(w) is not None:
+                return False
+        return True
 
     # -- operator action -----------------------------------------------------
 
@@ -570,15 +668,9 @@ class Presentation:
         return ConfluenceReport(self.name, checked, failures)
 
     def _expand_step(self, word: Word, i: int):
-        steps = self._step_at(word, i)
         out = {}
-        for w, c in steps:
-            acc = out.get(w)
-            acc = c if acc is None else acc + c
-            if acc.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = acc
+        for w, c in self._step_at(word, i):
+            _accumulate(out, w, c)
         return out.items()
 
     # -- derived presentations -------------------------------------------------

@@ -10,10 +10,12 @@ tensor print NAME [--json]      render a deformation matrix
 
 A presentation file passed with --load (lines ``gen <name> <even|odd>``
 and ``rule <lhs> = <element>``) is registered under its file stem and
-becomes the default algebra for ``normalize``.
+becomes the default algebra for ``normalize``.  A file whose rules are not
+confluent is rejected: each overlap whose two reductions differ is printed
+with both normal forms, and the command exits 1.
 
-Exit codes: 0 on success, 1 on verification failure, 2 on usage or
-parse errors.
+Exit codes: 0 on success, 1 on verification failure (including a --load
+file that is not confluent), 2 on usage or parse errors.
 """
 
 import argparse
@@ -124,6 +126,18 @@ def load_presentation(path: str) -> Presentation:
     return Presentation(name, generators, relations)
 
 
+def _report_overlaps(p: Presentation, path: str) -> bool:
+    """Print every overlap of ``p`` whose two reductions differ; True if none."""
+    report = p.check_confluence()
+    for w, via_left, via_right in report.failures:
+        print(
+            f"error: {path}: rules are not confluent: {p.show(Element.word(w))} "
+            f"reduces to {p.show(via_left)} and to {p.show(via_right)}",
+            file=sys.stderr,
+        )
+    return report.passed
+
+
 def _cmd_normalize(args, loaded: Optional[Presentation]) -> int:
     if args.algebra is not None:
         if loaded is not None and args.algebra == loaded.name:
@@ -215,6 +229,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         loaded = load_presentation(args.load) if args.load else None
+        if loaded is not None and not _report_overlaps(loaded, args.load):
+            return 1
         if args.command == "normalize":
             return _cmd_normalize(args, loaded)
         if args.command == "verify":

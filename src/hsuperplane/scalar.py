@@ -367,7 +367,8 @@ class ScalarQ:
         return self.num.is_zero()
 
     def is_one(self) -> bool:
-        return self.num.coeffs == (_G_ONE,) and self.den.coeffs == (_G_ONE,)
+        c = self.num.coeffs  # canonical: a degree-0 denominator is 1
+        return len(c) == 1 and c[0].re == 1 and not c[0].im and self.den.degree == 0
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -396,6 +397,10 @@ class ScalarQ:
         if other is NotImplemented:
             return NotImplemented
         if self.den.degree == other.den.degree == 0:  # canonical: both are 1
+            if self.is_one():
+                return other
+            if other.is_one():
+                return self
             return ScalarQ._canonical(self.num * other.num, _P_ONE)
         return ScalarQ(self.num * other.num, self.den * other.den)
 

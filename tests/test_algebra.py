@@ -167,6 +167,36 @@ def test_nontermination_detected():
         runaway.normal_form(word("v", "v", "u"), max_steps=500)
 
 
+def test_budget_error_names_start_word_length_and_work():
+    runaway = Presentation(
+        "runaway",
+        [("u", 0), ("v", 0)],
+        [(("v", "u"), word("u", "u", "v", "v"))],
+    )
+    with pytest.raises(NonTerminatingError, match=r"start word v\*v\*u, current word of length \d+, \d+ work units"):
+        runaway.normal_form(word("v", "v", "u"), max_steps=500)
+
+
+def test_rewriting_cycle_raises():
+    # The construction checks reject every cyclic rule set found so far, so
+    # the cycle a*b -> b*a -> a*b is planted in the compiled pair table.
+    p = Presentation("cyclic", [("a", 0), ("b", 0)])
+    p._pairs[("a", "b")] = ((("b", "a"), ONE),)
+    with pytest.raises(NonTerminatingError, match=r"start word a\*b, current word of length 2, 4 work units"):
+        p.normal_form(word("a", "b"))
+    with pytest.raises(NonTerminatingError):
+        p.normal_form(word("a", "b"), strategy="rightmost", max_steps=1000)
+
+
+def test_unknown_letters_raise_in_every_word(plane):
+    for strategy in ("leftmost", "rightmost"):
+        for w in (("zzz",), ("x", "zzz"), ("zzz", "x")):
+            with pytest.raises(UnknownGeneratorError):
+                plane.normal_form(Element.word(w), strategy=strategy)
+    with pytest.raises(UnknownGeneratorError):
+        plane.is_normal(word("zzz"))
+
+
 def test_step_budget_generous_enough(plane):
     # a modestly deep word reduces comfortably within the default budget
     e = Element.word(tuple(["x", "th", "dx", "dth"] * 3))

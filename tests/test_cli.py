@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +16,8 @@ from hsuperplane.cli import (
     main,
     run_suite,
 )
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 # -- normalize -------------------------------------------------------------------
@@ -98,6 +101,16 @@ def test_verify_writes_json_report(tmp_path, capsys):
     assert data["suite"] == "ybe"
     assert data["passed"] is True
     assert len(data["entries"]) == 5
+
+
+def test_verify_all_json_matches_golden_report(tmp_path, capsys):
+    # data/verify_all.json is the report with its version field left out
+    target = tmp_path / "all.json"
+    code = main(["verify", "all", "--json", str(target)])
+    capsys.readouterr()
+    assert code == 0
+    got = re.sub(r'\n  "version": "[^"]*",', "", target.read_text(), count=1)
+    assert got == (DATA / "verify_all.json").read_text()
 
 
 def test_verify_rejects_unknown_suite():
@@ -191,6 +204,17 @@ def test_load_presentation_round_trip(tmp_path, capsys):
     code = main(["--load", str(source), "normalize", "--algebra", "toy", "v*v"])
     assert code == 0
     assert capsys.readouterr().out.strip() == "0"
+
+
+def test_load_rejects_non_confluent_rules(tmp_path, capsys):
+    source = tmp_path / "nc.alg"
+    source.write_text("gen u even\ngen v even\nrule v*u = 2*u*v\nrule v*v = u\n")
+    code = main(["--load", str(source), "normalize", "v*v*u"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "v^2*u reduces to u^2 and to 4*u^2" in captured.err
+    assert "v^3 reduces to u*v and to 2*u*v" in captured.err
 
 
 def test_load_rejects_malformed_lines(tmp_path, capsys):

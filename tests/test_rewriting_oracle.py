@@ -1,0 +1,97 @@
+"""``Presentation.normal_form`` checked against a plain leftmost reducer.
+
+The reducer below reads only a presentation's public rules, generator order
+and parities, and follows every rewrite path to its end with no cache, no
+memo and no pair table.  Random words are drawn for every catalogue entry,
+with lengths capped per entry so that the reference stays fast; on each the
+engine must agree with the reference, be idempotent, return a normal
+element, and be linear.  A non-confluent presentation pins down the
+leftmost semantics, where strategies disagree.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hsuperplane.algebra import Element, Presentation, word
+from hsuperplane.presentations import CATALOGUE_NAMES, get_presentation
+from hsuperplane.scalar import ONE, Q, sc
+
+# derandomized, so the tier-1 run is deterministic; no example database on disk
+ORACLE = settings(derandomize=True, database=None, deadline=None, max_examples=80)
+
+# longest random word per catalogue entry; qh-calculus words branch the most
+MAX_LENGTH = {"qh-calculus": 7, "q-calculus": 7}
+DEFAULT_MAX_LENGTH = 9
+
+SCALARS = (ONE, sc(-1), sc(3), Q, Q**-1, sc(2) - Q, ONE / (Q - 1))
+
+
+def rewrite_at(p: Presentation, rules: dict, w: tuple, i: int):
+    """The (word, coefficient) terms of one rewrite at i; None if inert."""
+    a, b = w[i], w[i + 1]
+    head, tail = w[:i], w[i + 2:]
+    if (a, b) in rules:
+        return [(head + rw + tail, c) for rw, c in rules[a, b].items()]
+    ga, gb = p.generator(a), p.generator(b)
+    if a == b:
+        return [] if ga.parity else None
+    if ga.order_index > gb.order_index:
+        sign = sc(-1) if ga.parity and gb.parity else ONE
+        return [(head + (b, a) + tail, sign)]
+    return None
+
+
+def plain_leftmost(p: Presentation, element: Element) -> Element:
+    rules = p.rules
+    total = Element.zero()
+    paths = list(element.items())
+    while paths:
+        w, c = paths.pop()
+        for i in range(len(w) - 1):
+            steps = rewrite_at(p, rules, w, i)
+            if steps is not None:
+                paths.extend((w2, c * c2) for w2, c2 in steps)
+                break
+        else:
+            total = total + Element.word(w, c)
+    return total
+
+
+def words_of(name: str):
+    p = get_presentation(name)
+    return st.lists(
+        st.sampled_from(p.generator_names()),
+        max_size=MAX_LENGTH.get(name, DEFAULT_MAX_LENGTH),
+    ).map(tuple)
+
+
+@pytest.mark.parametrize("name", CATALOGUE_NAMES)
+def test_normal_form_matches_plain_leftmost(name):
+    p = get_presentation(name)
+
+    @ORACLE
+    @given(words_of(name), words_of(name), st.sampled_from(SCALARS), st.sampled_from(SCALARS))
+    def check(w1, w2, a, b):
+        e1, e2 = Element.word(w1), Element.word(w2)
+        nf1 = p.normal_form(e1)
+        assert nf1 == plain_leftmost(p, e1)
+        assert p.is_normal(nf1)
+        assert p.normal_form(nf1) == nf1
+        nf2 = p.normal_form(e2)
+        assert p.normal_form(e1 * a + e2 * b) == nf1 * a + nf2 * b
+
+    check()
+
+
+def test_non_confluent_presentation_keeps_leftmost_semantics():
+    p = Presentation(
+        "nc",
+        [("u", 0), ("v", 0)],
+        [(("v", "u"), 2 * word("u", "v")), (("v", "v"), word("u"))],
+    )
+    assert not p.check_confluence().passed
+    vvu = word("v", "v", "u")
+    assert p.normal_form(vvu) == word("u", "u")
+    assert p.normal_form(vvu) == plain_leftmost(p, vvu)
+    assert p.normal_form(vvu, strategy="rightmost") == 4 * word("u", "u")
