@@ -308,7 +308,6 @@ class Presentation:
         relations: Sequence = (),
         *,
         derivatives: Iterable[str] = (),
-        _normalize: bool = True,
     ):
         self.name = name
         gens = []
@@ -344,7 +343,7 @@ class Presentation:
         for lhs, rhs in rules.items():
             self._check_lhs_shape(lhs, rhs)
         self._pairs = self._compile_pairs()
-        if _normalize and rules:
+        if rules:
             for lhs in list(rules):
                 self._nf_cache.clear()
                 rules[lhs] = self.normal_form(rules[lhs])
@@ -725,6 +724,24 @@ class ConfluenceReport:
         return not self.failures
 
 
+def _map_words(terms, images: Mapping[str, Element], target: Presentation) -> Element:
+    """Normal form in ``target`` of the sum of c * image(g_1) ... image(g_n)
+    over the (word, c) pairs of ``terms``."""
+    total = Element.zero()
+    for w, c in terms:
+        acc = Element.scalar(c)
+        for g in w:
+            try:
+                image = images[g]
+            except KeyError:
+                raise UnknownGeneratorError(
+                    f"no image for {g!r} in the map into {target.name}"
+                ) from None
+            acc = target.multiply(acc, image)
+        total = total + acc
+    return target.normal_form(total)
+
+
 @dataclass(frozen=True)
 class AlgebraMorphism:
     """Algebra map given by generator images, extended multiplicatively.
@@ -738,27 +755,11 @@ class AlgebraMorphism:
     images: Mapping[str, Element]
     conjugate_scalars: bool = False
 
-    def image_of(self, name: str) -> Element:
-        try:
-            return self.images[name]
-        except KeyError:
-            raise UnknownGeneratorError(f"morphism has no image for {name!r}") from None
-
     def __call__(self, element) -> Element:
-        element = as_element(element)
-        total = Element.zero()
-        for w, c in element.items():
-            if self.conjugate_scalars:
-                c = c.conjugate()
-            acc = Element.scalar(c)
-            for g in w:
-                acc = self.target.multiply(acc, self.image_of(g))
-            total = total + acc
-        return self.target.normal_form(total)
-
-
-def identity_images(p: Presentation) -> dict:
-    return {g.name: Element.generator(g.name) for g in p.generators}
+        terms = as_element(element).items()
+        if self.conjugate_scalars:
+            terms = ((w, c.conjugate()) for w, c in terms)
+        return _map_words(terms, self.images, self.target)
 
 
 @dataclass(frozen=True)
@@ -771,21 +772,9 @@ class InvolutionSpec:
     presentation: Presentation
     images: Mapping[str, Element]
 
-    def image_of(self, name: str) -> Element:
-        try:
-            return self.images[name]
-        except KeyError:
-            raise UnknownGeneratorError(f"involution has no image for {name!r}") from None
-
     def __call__(self, element) -> Element:
-        element = as_element(element)
-        total = Element.zero()
-        for w, c in element.items():
-            acc = Element.scalar(c.conjugate())
-            for g in reversed(w):
-                acc = self.presentation.multiply(acc, self.image_of(g))
-            total = total + acc
-        return self.presentation.normal_form(total)
+        terms = ((w[::-1], c.conjugate()) for w, c in as_element(element).items())
+        return _map_words(terms, self.images, self.presentation)
 
     def is_involutive(self) -> bool:
         """Applying the star twice fixes every generator."""

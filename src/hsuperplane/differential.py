@@ -15,7 +15,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 from .algebra import AlgebraError, Element, Presentation, gen, word
 from .presentations import get_presentation
 from .reports import VerificationReport
-from .scalar import ONE, ScalarQ, sc
+from .scalar import ONE, sc
 
 
 class UnsupportedGeneratorError(AlgebraError):
@@ -86,12 +86,11 @@ def random_form(
     parity: Optional[int] = None,
 ) -> Element:
     """Random normalized polynomial; fixed parity when requested."""
-    parities = {g.name: g.parity for g in p.generators}
     element = Element.zero()
     for _ in range(terms):
         degree = rng.randint(0 if parity in (None, 0) else 1, max_degree)
         w = tuple(rng.choice(letters) for _ in range(degree))
-        if parity is not None and sum(parities[g] for g in w) % 2 != parity:
+        if parity is not None and p.word_parity(w) != parity:
             continue
         element = element + Element.word(w, sc(rng.choice((1, 2, 3, -1, -2))))
     return p.normal_form(element)
@@ -112,13 +111,12 @@ def check_leibniz(
     pairs: Iterable[Tuple[Element, Element]], p: Presentation
 ) -> VerificationReport:
     """Graded Leibniz rule on pairs with parity-homogeneous left factor."""
-    parities = {g.name: g.parity for g in p.generators}
     report = VerificationReport("leibniz", p.name)
     for f, g in pairs:
-        f_parities = {sum(parities[l] for l in w) % 2 for w in f.words()}
-        if len(f_parities) > 1:
+        parity = p.parity(f)  # None for 0, which any sign serves
+        if parity is None and not f.is_zero():
             raise AlgebraError("left factor must be parity-homogeneous")
-        sign = sc((-1) ** (f_parities.pop() if f_parities else 0))
+        sign = sc(-1 if parity else 1)
         residual = p.normal_form(
             exterior_d(p.normal_form(f * g), p)
             - exterior_d(f, p) * g

@@ -22,7 +22,9 @@ from .algebra import AlgebraError, Element, Presentation, gen, word
 from .presentations import (
     CALCULUS_DERIVATIVES,
     CALCULUS_GENERATORS,
+    InconsistentSystemError,
     get_presentation,
+    solve_linear,
 )
 from .reports import VerificationReport
 from .scalar import ONE, Q, ScalarQ, ZERO, qpow, sc
@@ -68,17 +70,6 @@ def h_line() -> Presentation:
     return _H_LINE
 
 
-def _entry_parity(element: Element, parities: dict) -> Optional[int]:
-    seen = set()
-    for w in element.words():
-        seen.add(sum(parities[letter] for letter in w) % 2)
-    if not seen:
-        return None
-    if len(seen) > 1:
-        raise AlgebraError(f"inhomogeneous tensor entry {element!r}")
-    return seen.pop()
-
-
 class SuperTensor:
     """Rank-2n tensor with Element entries and index-consistent parity."""
 
@@ -87,7 +78,6 @@ class SuperTensor:
     def __init__(self, presentation: Presentation, rank: int, entries) -> None:
         if rank % 2 != 0 or rank <= 0:
             raise RankMismatchError(f"rank must be a positive even number, got {rank}")
-        parities = {g.name: g.parity for g in presentation.generators}
         stored = {}
         for idx, element in dict(entries).items():
             idx = tuple(idx)
@@ -99,9 +89,11 @@ class SuperTensor:
                 element = Element.scalar(element)
             if element.is_zero():
                 continue
-            parity = _entry_parity(element, parities)
+            parity = presentation.parity(element)
+            if parity is None:
+                raise AlgebraError(f"inhomogeneous tensor entry {element!r}")
             expected = sum(SuperIndex.parity(v) for v in idx) % 2
-            if parity is not None and parity != expected:
+            if parity != expected:
                 raise AlgebraError(
                     f"entry {element!r} at {idx} has parity {parity}, expected {expected}"
                 )
@@ -138,21 +130,11 @@ class SuperTensor:
             raise RankMismatchError(
                 f"cannot multiply rank {self.rank} by rank {other.rank}"
             )
-        n = self.n
         p = self.presentation
-        entries = {}
-        for upper in _indices(n):
-            for lower in _indices(n):
-                total = Element.zero()
-                for mid in _indices(n):
-                    left = self.entry(upper + mid)
-                    right = other.entry(mid + lower)
-                    if left.is_zero() or right.is_zero():
-                        continue
-                    total = total + left * right
-                if not total.is_zero():
-                    entries[upper + lower] = p.normal_form(total)
-        return SuperTensor(p, self.rank, entries)
+        product = _free_product(self.entries, other.entries, self.n)
+        return SuperTensor(
+            p, self.rank, {idx: p.normal_form(total) for idx, total in product.items()}
+        )
 
     def map_entries(self, f) -> "SuperTensor":
         return SuperTensor(
@@ -167,46 +149,42 @@ class SuperTensor:
         With M = M0 + h*M1 and h squaring to zero, the inverse is
         M0^-1 - M0^-1 (h M1) M0^-1; M0 must be invertible.
         """
-        n = self.n
-        rows = list(_indices(n))
-        size = len(rows)
-        m0 = [[ZERO] * size for _ in range(size)]
-        m1 = [[ZERO] * size for _ in range(size)]
-        for r, upper in enumerate(rows):
-            for c, lower in enumerate(rows):
-                element = self.entry(upper + lower)
-                rest = element - Element.scalar(
-                    element.coefficient(())
-                ) - Element.word(("h",), element.coefficient(("h",)))
-                if not rest.is_zero():
-                    raise AlgebraError(
-                        f"entry at {upper + lower} is not of the form c + c'*h"
-                    )
-                m0[r][c] = element.coefficient(())
-                m1[r][c] = element.coefficient(("h",))
-        inv0 = _invert_scalar_matrix(m0)
-        correction = _matmul(_matmul(inv0, m1), inv0)
-        entries = {}
-        for r, upper in enumerate(rows):
-            for c, lower in enumerate(rows):
-                element = Element.scalar(inv0[r][c]) - Element.word(
-                    ("h",), correction[r][c]
-                )
-                entries[upper + lower] = element
+        for idx, element in self.entries.items():
+            if set(element.words()) - {(), ("h",)}:
+                raise AlgebraError(f"entry at {idx} is not of the form c + c'*h")
+        rows = list(_indices(self.n))
+        inv0 = _invert_scalar_matrix(
+            [[self.entry(upper + lower).scalar_part() for lower in rows] for upper in rows]
+        )
+        entries = {
+            upper + lower: inv0[r][c]
+            for r, upper in enumerate(rows)
+            for c, lower in enumerate(rows)
+        }
+        m0_inverse = SuperTensor(self.presentation, self.rank, entries)
+        h_part = self.map_entries(lambda element: element - element.scalar_part())
+        correction = m0_inverse * h_part * m0_inverse
+        entries = {
+            idx: m0_inverse.entry(idx) - correction.entry(idx) for idx in _indices(self.rank)
+        }
         result = SuperTensor(self.presentation, self.rank, entries)
         identity = SuperTensor.identity(self.presentation, self.rank)
         if self * result != identity or result * self != identity:
             raise SingularTensorError("inverse verification failed")
         return result
 
-    def to_grid(self) -> str:
-        n = self.n
-        labels = ["".join(map(str, idx)) for idx in _indices(n)]
+    def _cells(self):
+        """Index labels and the rendered entry at each (row, column) label."""
+        labels = ["".join(map(str, idx)) for idx in _indices(self.n)]
         cells = [
             [self.presentation.show(self.entry(tuple(map(int, r)) + tuple(map(int, c))))
              for c in labels]
             for r in labels
         ]
+        return labels, cells
+
+    def to_grid(self) -> str:
+        labels, cells = self._cells()
         width = max(
             [len(s) for row in cells for s in row] + [len(label) for label in labels]
         )
@@ -217,13 +195,7 @@ class SuperTensor:
         return "\n".join(lines)
 
     def to_json(self, indent: Optional[int] = None) -> str:
-        n = self.n
-        labels = ["".join(map(str, idx)) for idx in _indices(n)]
-        entries = [
-            [self.presentation.show(self.entry(tuple(map(int, r)) + tuple(map(int, c))))
-             for c in labels]
-            for r in labels
-        ]
+        labels, entries = self._cells()
         return json.dumps(
             {"rank": self.rank, "indices": labels, "entries": entries}, indent=indent
         )
@@ -233,35 +205,16 @@ class SuperTensor:
 
 
 def _invert_scalar_matrix(m: Sequence[Sequence[ScalarQ]]) -> list:
+    """Inverse of a square scalar matrix, solved one identity column at a time."""
     size = len(m)
-    work = [list(row) + [ONE if r == c else ZERO for c in range(size)]
-            for r, row in enumerate(m)]
-    for col in range(size):
-        pivot = next(
-            (r for r in range(col, size) if not work[r][col].is_zero()), None
-        )
-        if pivot is None:
-            raise SingularTensorError("scalar part of the tensor is singular")
-        work[col], work[pivot] = work[pivot], work[col]
-        inv = ONE / work[col][col]
-        work[col] = [entry * inv for entry in work[col]]
-        for r in range(size):
-            if r != col and not work[r][col].is_zero():
-                factor = work[r][col]
-                work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
-    return [row[size:] for row in work]
-
-
-def _matmul(a, b):
-    size = len(a)
-    out = [[ZERO] * size for _ in range(size)]
-    for r in range(size):
-        for c in range(size):
-            total = ZERO
-            for k in range(size):
-                total = total + a[r][k] * b[k][c]
-            out[r][c] = total
-    return out
+    try:
+        columns = [
+            solve_linear(m, [ONE if r == c else ZERO for r in range(size)])
+            for c in range(size)
+        ]
+    except InconsistentSystemError:
+        raise SingularTensorError("scalar part of the tensor is singular") from None
+    return [list(row) for row in zip(*columns)]
 
 
 # -- the deformation matrices ---------------------------------------------------
@@ -395,15 +348,15 @@ class SuperMatrix:
     dd: Element
 
     def __post_init__(self):
-        parities = {g.name: g.parity for g in get_presentation("gl-h11").generators}
+        gl = get_presentation("gl-h11")
         for name, element, expected in (
             ("a", self.a, 0),
             ("bt", self.bt, 1),
             ("gm", self.gm, 1),
             ("dd", self.dd, 0),
         ):
-            parity = _entry_parity(element, parities)
-            if parity is not None and parity != expected:
+            # an inhomogeneous entry has parity None and is rejected too
+            if not element.is_zero() and gl.parity(element) != expected:
                 raise AlgebraError(f"supermatrix entry {name} has wrong parity")
 
     def entry(self, i: int, k: int) -> Element:
@@ -432,13 +385,13 @@ def _t_slot_entries(T: SuperMatrix, slot: int) -> dict:
     return {idx: e for idx, e in entries.items() if not e.is_zero()}
 
 
-def _free_product(a: dict, b: dict) -> dict:
-    """Matrix product of rank-4 entry maps in the free algebra (no rewriting)."""
+def _free_product(a: dict, b: dict, n: int) -> dict:
+    """Matrix product of rank-2n entry maps in the free algebra (no rewriting)."""
     out = {}
-    for upper in _indices(2):
-        for lower in _indices(2):
+    for upper in _indices(n):
+        for lower in _indices(n):
             total = Element.zero()
-            for mid in _indices(2):
+            for mid in _indices(n):
                 left = a.get(upper + mid)
                 right = b.get(mid + lower)
                 if left is None or right is None:
@@ -462,8 +415,8 @@ def rtt_expand(t: SuperTensor, T: Optional[SuperMatrix] = None) -> list:
     t1 = _t_slot_entries(T, 1)
     t2 = _t_slot_entries(T, 2)
     k = dict(t.entries)
-    left = _free_product(_free_product(k, t1), t2)
-    right = _free_product(_free_product(t1, t2), k)
+    left = _free_product(_free_product(k, t1, 2), t2, 2)
+    right = _free_product(_free_product(t1, t2, 2), k, 2)
     out = []
     for upper in _indices(2):
         for lower in _indices(2):
@@ -472,71 +425,18 @@ def rtt_expand(t: SuperTensor, T: Optional[SuperMatrix] = None) -> list:
     return out
 
 
-def _pull_h_left(element: Element, parities: dict) -> Element:
-    """Move every h to the front of its word with the Koszul sign.
-
-    Words containing two h's are dropped (h squares to zero); the result
-    factors every term as h^{0,1} times an h-free word.
-    """
-    result = Element.zero()
-    for w, coeff in element.items():
-        letters = [g for g in w if g != "h"]
-        h_count = len(w) - len(letters)
-        if h_count >= 2:
-            continue
-        if h_count == 0:
-            result = result + Element.word(w, coeff)
-            continue
-        passed = 0
-        for g in w:
-            if g == "h":
-                break
-            passed += parities[g]
-        sign = sc((-1) ** (passed % 2))
-        result = result + Element.word(("h", *letters), coeff * sign)
-    return result
-
-
-def _sort_word_koszul(letters, order: dict, parities: dict):
-    """Koszul-sort a word; None when an odd letter repeats (square zero)."""
-    letters = list(letters)
-    sign = 1
-    swapped = True
-    while swapped:
-        swapped = False
-        for i in range(len(letters) - 1):
-            x, y = letters[i], letters[i + 1]
-            if x == y and parities[x] == 1:
-                return None, 0
-            if order[x] > order[y]:
-                sign *= (-1) ** (parities[x] * parities[y])
-                letters[i], letters[i + 1] = y, x
-                swapped = True
-    for i in range(len(letters) - 1):
-        if letters[i] == letters[i + 1] and parities[letters[i]] == 1:
-            return None, 0
-    return tuple(letters), sign
-
-
-def _canonical_modulo_h2(element: Element, presentation: Presentation) -> Element:
+def _canonical_modulo_h2(element: Element, free: Presentation) -> Element:
     """Canonical form modulo h^2 with order-h words fully commuted.
 
-    The h-free part is kept verbatim.  Words carrying an h are sorted
-    with Koszul signs: at order h any graded reordering lies in h times
-    the relation ideal, so sorting exposes the underlying relation.
+    The h-free part is kept verbatim.  Words carrying an h are replaced by
+    their normal form in ``free``, a presentation on the same generators
+    (h first) with no rules: its Koszul defaults move h to the front, kill
+    h^2 and odd squares, and sort the rest with signs.  At order h any
+    graded reordering lies in h times the relation ideal, so sorting
+    exposes the underlying relation.
     """
-    order = {g.name: i for i, g in enumerate(presentation.generators)}
-    parities = {g.name: g.parity for g in presentation.generators}
-    result = Element.zero()
-    for w, coeff in _pull_h_left(element, parities).items():
-        if w[:1] != ("h",):
-            result = result + Element.word(w, coeff)
-            continue
-        sorted_tail, sign = _sort_word_koszul(w[1:], order, parities)
-        if sorted_tail is None:
-            continue
-        result = result + Element.word(("h", *sorted_tail), coeff * sc(sign))
-    return result
+    kept = element.drop_words_containing("h")
+    return kept + free.normal_form(element - kept)
 
 
 def _supergroup_relations() -> list:
@@ -597,9 +497,10 @@ def rtt_report() -> VerificationReport:
     for label, element in zip(labels, entries):
         nf = gl.normal_form(element)
         report.add(f"entry ({label}) reduces to 0", gl.show(nf), nf.is_zero())
-    canonical = [_canonical_modulo_h2(e, gl) for e in entries]
+    free = Presentation(f"{gl.name}|free", gl.generators)
+    canonical = [_canonical_modulo_h2(e, free) for e in entries]
     for label, relation in _supergroup_relations():
-        relation = _canonical_modulo_h2(relation, gl)
+        relation = _canonical_modulo_h2(relation, free)
         lead = sorted(relation.words())[0]
         scale = None
         for candidate in canonical:
@@ -652,6 +553,18 @@ _DX = {1: "dx", 2: "dth"}
 _D = {1: "px", 2: "pth"}
 
 
+def _entry_sum(t: SuperTensor, term) -> Element:
+    """Sum over index values k, l of t.entry(index) * word(letters), where
+    ``term(k, l)`` gives the (index, letters) pair of each summand."""
+    total = Element.zero()
+    for k, l in _indices(2):
+        index, letters = term(k, l)
+        entry = t.entry(index)
+        if not entry.is_zero():
+            total = total + entry * Element.word(letters)
+    return total
+
+
 def coordinate_differential_rules(t: SuperTensor, factor: ScalarQ = ONE) -> dict:
     """Coordinate-differential exchange rules read off the tensor.
 
@@ -661,11 +574,7 @@ def coordinate_differential_rules(t: SuperTensor, factor: ScalarQ = ONE) -> dict
     par = SuperIndex.parity
     rules = {}
     for i, j in _indices(2):
-        rhs = Element.zero()
-        for k, l in _indices(2):
-            entry = t.entry((j, i, k, l))
-            if not entry.is_zero():
-                rhs = rhs + entry * word(_DX[k], _X[l])
+        rhs = _entry_sum(t, lambda k, l: ((j, i, k, l), (_DX[k], _X[l])))
         sign = (-1) ** (par(i) * (par(j) + 1))
         rules[(_X[i], _DX[j])] = rhs.scale(factor * sc(sign))
     return rules
@@ -678,11 +587,8 @@ def _derivative_coordinate_rules(t: SuperTensor) -> dict:
     for i, j in _indices(2):
         rhs = Element.scalar(1) if i == j else Element.zero()
         sign = sc((-1) ** (par(i) * par(j)))
-        for k, l in _indices(2):
-            entry = t.entry((i, k, l, j))
-            if not entry.is_zero():
-                rhs = rhs + (entry * word(_X[l], _D[k])).scale(sign)
-        rules[(_D[j], _X[i])] = rhs
+        terms = _entry_sum(t, lambda k, l: ((i, k, l, j), (_X[l], _D[k])))
+        rules[(_D[j], _X[i])] = rhs + terms.scale(sign)
     return rules
 
 
@@ -696,13 +602,9 @@ def _derivative_differential_rules(t: SuperTensor) -> dict:
     par = SuperIndex.parity
     rules = {}
     for i, j in _indices(2):
-        rhs = Element.zero()
         sign = sc((-1) ** (par(j) * (par(i) + 1)))
-        for k, l in _indices(2):
-            entry = inverse.entry((i, k, l, j))
-            if not entry.is_zero():
-                rhs = rhs + (entry * word(_DX[l], _D[k])).scale(sign)
-        rules[(_D[j], _DX[i])] = rhs
+        terms = _entry_sum(inverse, lambda k, l: ((i, k, l, j), (_DX[l], _D[k])))
+        rules[(_D[j], _DX[i])] = terms.scale(sign)
     return rules
 
 
@@ -718,21 +620,13 @@ def _check_rule_parity(lhs, rhs: Element) -> None:
 
 def _coordinate_rules(khat: SuperTensor) -> dict:
     """X^i X^j = Khat^{ij}_{kl} X^k X^l, solved for the two plane rules."""
-    mixed = Element.zero()
-    for k, l in _indices(2):
-        entry = khat.entry((1, 2, k, l))
-        if not entry.is_zero():
-            mixed = mixed + entry * word(_X[k], _X[l])
+    mixed = _entry_sum(khat, lambda k, l: ((1, 2, k, l), (_X[k], _X[l])))
     if not mixed.coefficient(("x", "th")).is_zero():
         raise InconsistentRulesError("coordinate relation does not determine x*th")
     rules = {("x", "th"): mixed}
     # the odd diagonal case is implicit: move the th*th term across and
     # reduce the rest with the x*th rule just obtained
-    diagonal = Element.zero()
-    for k, l in _indices(2):
-        entry = khat.entry((2, 2, k, l))
-        if not entry.is_zero():
-            diagonal = diagonal + entry * word(_X[k], _X[l])
+    diagonal = _entry_sum(khat, lambda k, l: ((2, 2, k, l), (_X[k], _X[l])))
     self_coeff = diagonal.coefficient(("th", "th"))
     denom = ONE - self_coeff
     if denom.is_zero():
@@ -745,18 +639,12 @@ def _coordinate_rules(khat: SuperTensor) -> dict:
         derivatives=CALCULUS_DERIVATIVES,
     )
     rules[("th", "th")] = partial.normal_form(remaining).scale(ONE / denom)
-    for lhs, rhs in rules.items():
-        _check_rule_parity(lhs, rhs)
     return rules
 
 
 def _derivative_rules(khat: SuperTensor) -> dict:
     """d_i d_j = Khat^{kl}_{ji} d_l d_k, solved for the two derivative rules."""
-    diagonal = Element.zero()
-    for k, l in _indices(2):
-        entry = khat.entry((k, l, 2, 2))
-        if not entry.is_zero():
-            diagonal = diagonal + entry * word(_D[l], _D[k])
+    diagonal = _entry_sum(khat, lambda k, l: ((k, l, 2, 2), (_D[l], _D[k])))
     self_coeff = diagonal.coefficient(("pth", "pth"))
     denom = ONE - self_coeff
     if denom.is_zero():
@@ -766,11 +654,7 @@ def _derivative_rules(khat: SuperTensor) -> dict:
             ONE / denom
         )
     }
-    mixed = Element.zero()
-    for k, l in _indices(2):
-        entry = khat.entry((k, l, 2, 1))
-        if not entry.is_zero():
-            mixed = mixed + entry * word(_D[l], _D[k])
+    mixed = _entry_sum(khat, lambda k, l: ((k, l, 2, 1), (_D[l], _D[k])))
     swap_coeff = mixed.coefficient(("pth", "px"))
     if swap_coeff.is_zero():
         raise InconsistentRulesError("derivative relation does not determine pth*px")
@@ -782,8 +666,6 @@ def _derivative_rules(khat: SuperTensor) -> dict:
         derivatives=CALCULUS_DERIVATIVES,
     )
     rules[("pth", "px")] = partial.normal_form(residue).scale(ONE / swap_coeff)
-    for lhs, rhs in rules.items():
-        _check_rule_parity(lhs, rhs)
     return rules
 
 

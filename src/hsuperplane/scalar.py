@@ -381,7 +381,7 @@ class ScalarQ:
     __radd__ = __add__
 
     def __neg__(self):
-        return ScalarQ(-self.num, self.den)
+        return ScalarQ._canonical(-self.num, self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)

@@ -175,6 +175,17 @@ def test_tensor_json(capsys):
     assert data["entries"][3][3] == "-1"
 
 
+def test_tensor_print_matches_golden_output(capsys):
+    # data/tensor_print.txt holds each command line, prefixed with "$ ", and its output
+    got = []
+    for name in ("P", "Khq", "Kh", "Khat", "Rh"):
+        for flags in ([], ["--json"]):
+            argv = ["tensor", "print", name, *flags]
+            assert main(argv) == 0
+            got.append(f"$ hsuperplane {' '.join(argv)}\n{capsys.readouterr().out}")
+    assert "".join(got) == (DATA / "tensor_print.txt").read_text()
+
+
 def test_tensor_rejects_unknown_name():
     with pytest.raises(SystemExit) as err:
         main(["tensor", "print", "Z"])

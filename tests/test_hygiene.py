@@ -1,0 +1,77 @@
+"""Code hygiene of ``src/``, read with the standard library ``ast`` module.
+
+* Every module-level import in ``src/hsuperplane/*.py`` is used in its
+  module.  ``__init__.py`` (whose imports are re-exports) and
+  ``__future__`` imports are exempt.
+* Every module-level function and class in ``src/``, and every method of
+  such a class other than the double-underscore ones, is referenced by
+  name somewhere in ``src/``, ``tests/`` or ``perfbench/``.  The benchmark
+  counts: some public methods, such as ``Element.term_count``, are used
+  only there.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "hsuperplane"
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _referenced_names() -> set:
+    """Every name, attribute name and imported name in src/, tests/, perfbench/."""
+    names = set()
+    for folder in ("src", "tests", "perfbench"):
+        for path in (ROOT / folder).rglob("*.py"):
+            for node in ast.walk(_tree(path)):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    names.add(node.name)
+    return names
+
+
+@pytest.mark.parametrize(
+    "path", [m for m in MODULES if m.name != "__init__.py"], ids=lambda m: m.name
+)
+def test_module_level_imports_are_used(path):
+    tree = _tree(path)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in used:
+                    unused.append(bound)
+    assert unused == []
+
+
+def test_every_definition_is_referenced():
+    referenced = _referenced_names()
+    unreferenced = []
+    for path in MODULES:
+        for node in _tree(path).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if node.name not in referenced:
+                unreferenced.append(f"{path.name}:{node.name}")
+            if isinstance(node, ast.ClassDef):
+                for member in node.body:
+                    if (
+                        isinstance(member, ast.FunctionDef)
+                        and not member.name.startswith("__")
+                        and member.name not in referenced
+                    ):
+                        unreferenced.append(f"{path.name}:{node.name}.{member.name}")
+    assert unreferenced == []
