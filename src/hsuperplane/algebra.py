@@ -349,6 +349,7 @@ class Presentation:
                 rules[lhs] = self.normal_form(rules[lhs])
                 self._pairs[lhs] = self._pair_entry(rules[lhs])
             self._nf_cache.clear()
+        self._central = self._central_letters()
         for lhs, rhs in rules.items():
             self._check_rule_invariants(lhs, rhs)
 
@@ -401,23 +402,38 @@ class Presentation:
             raise RuleError(f"rule lhs {lhs} is neither descending, a square, nor length-reducing")
 
     def _check_rule_invariants(self, lhs: Word, rhs: Element):
+        bound = self._measure(lhs)
         for w in rhs.words():
-            if not self._smaller_than_lhs(w, lhs):
+            if not self._measure(w) < bound:
                 raise RuleError(f"rule {lhs}: rhs term {w} is not smaller in the termination order")
             if self._first_reducible(w) is not None:
                 raise RuleError(f"rule {lhs}: rhs term {w} is not in normal form")
 
-    def _measure(self, word: Word):
-        index = {g.name: g.order_index for g in self.generators}
-        odd_non_h = sum(1 for g in word if g != "h" and self._by_name[g].parity)
-        return (_inversions(word, index), odd_non_h, len(word))
+    def _central_letters(self) -> frozenset:
+        """The odd generators that no rule rewrites, apart from a square rule
+        whose right side is 0.
 
-    def _smaller_than_lhs(self, rhs_word: Word, lhs: Word) -> bool:
-        h_lhs = lhs.count("h")
-        h_rhs = rhs_word.count("h")
-        if h_rhs != h_lhs:
-            return h_rhs > h_lhs
-        return self._measure(rhs_word) < self._measure(lhs)
+        Such a letter graded-commutes with every other letter and squares to
+        zero, so a nonzero word contains it at most once.
+        """
+        rewritten = {
+            g
+            for lhs, rhs in self._rules.items()
+            if lhs[0] != lhs[1] or not rhs.is_zero()
+            for g in lhs
+        }
+        return frozenset(g.name for g in self.generators if g.parity and g.name not in rewritten)
+
+    def _measure(self, word: Word):
+        """Termination order, smaller first: more central letters, then fewer
+        inversions, fewer other odd letters, fewer letters.  A rule may add
+        a central letter, which can happen at most once in a nonzero word."""
+        index = {g.name: g.order_index for g in self.generators}
+        central = sum(1 for g in word if g in self._central)
+        odd_other = sum(
+            1 for g in word if g not in self._central and self._by_name[g].parity
+        )
+        return (-central, _inversions(word, index), odd_other, len(word))
 
     # -- basic queries -------------------------------------------------------
 
@@ -658,34 +674,15 @@ class Presentation:
                         continue
                     checked += 1
                     w = (g1, g2, g3)
-                    via_left = Element(dict(self._expand_step(w, 0)))
-                    via_right = Element(dict(self._expand_step(w, 1)))
+                    via_left = Element(dict(self._step_at(w, 0)))
+                    via_right = Element(dict(self._step_at(w, 1)))
                     nf_left = self.normal_form(via_left)
                     nf_right = self.normal_form(via_right)
                     if nf_left != nf_right:
                         failures.append((w, nf_left, nf_right))
         return ConfluenceReport(self.name, checked, failures)
 
-    def _expand_step(self, word: Word, i: int):
-        out = {}
-        for w, c in self._step_at(word, i):
-            _accumulate(out, w, c)
-        return out.items()
-
-    # -- derived presentations -------------------------------------------------
-
-    def with_h_dropped(self, name: Optional[str] = None) -> "Presentation":
-        """Same generators, every rule right-hand side taken modulo h."""
-        relations = [
-            (lhs, rhs.drop_words_containing("h") if lhs != ("h", "h") else rhs)
-            for lhs, rhs in self._rules.items()
-        ]
-        return Presentation(
-            name or f"{self.name}|h=0",
-            [(g.name, g.parity) for g in self.generators],
-            relations,
-            derivatives=self.derivatives,
-        )
+    # -- comparison ------------------------------------------------------------
 
     def rules_equal(self, other: "Presentation") -> bool:
         return self._rules == other._rules

@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Optional
 
 from .algebra import AlgebraError, Element, Presentation
-from .expr import ExprSyntaxError, UnknownSymbolError, parse_scalar
+from .expr import ExprSyntaxError, UnknownSymbolError, parse_relation, parse_scalar
 from .presentations import (
     UnknownPresentationError,
     build_heisenberg,
@@ -107,22 +107,20 @@ def load_presentation(path: str) -> Presentation:
         if parts[0] == "gen" and len(parts) == 3 and parts[2] in ("even", "odd"):
             generators.append((parts[1], 0 if parts[2] == "even" else 1))
         elif parts[0] == "rule" and "=" in line:
-            body = line[len("rule") :]
-            lhs_text, _, rhs_text = body.partition("=")
-            rule_lines.append((number, lhs_text.strip(), rhs_text.strip()))
+            rule_lines.append((number, line[len("rule") :]))
         else:
             raise AlgebraError(f"{path}:{number}: cannot parse {line!r}")
     name = Path(path).stem
     scratch = Presentation(name, generators, [])
     relations = []
-    for number, lhs_text, rhs_text in rule_lines:
-        lhs = scratch.parse(lhs_text)
+    for number, text in rule_lines:
+        lhs, rhs = parse_relation(text, scratch)
         if len(list(lhs.words())) != 1:
             raise AlgebraError(f"{path}:{number}: rule left side must be one word")
         ((w, coeff),) = lhs.items()
         if coeff != ONE:
             raise AlgebraError(f"{path}:{number}: rule left side must have factor 1")
-        relations.append((w, scratch.parse(rhs_text)))
+        relations.append((w, rhs))
     return Presentation(name, generators, relations)
 
 

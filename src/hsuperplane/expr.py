@@ -2,10 +2,11 @@
 
 Grammar (whitespace between tokens is ignored):
 
-    expr   := ['-'] term (('+' | '-') term)*
-    term   := factor (('*' | '/') factor)*
-    factor := base ['^' ['-'] integer]
-    base   := name | integer | '(' expr ')'
+    relation := expr '=' expr
+    expr     := ['-'] term (('+' | '-') term)*
+    term     := factor (('*' | '/') factor)*
+    factor   := base ['^' ['-'] integer]
+    base     := name | integer | '(' expr ')'
 
 The product sign is mandatory between factors.  ``q`` and ``i`` always denote
 the deformation parameter and the imaginary unit; every other name must be a
@@ -70,7 +71,7 @@ def _tokenize(text: str) -> List[_Token]:
             tokens.append(_Token("INT", text[i:j], i))
             i = j
             continue
-        if ch in "+-*/^()":
+        if ch in "+-*/^()=":
             tokens.append(_Token("OP", ch, i))
             i += 1
             continue
@@ -101,14 +102,28 @@ class _Parser:
         return None
 
     def parse(self) -> Element:
+        value = self.side()
+        self.end()
+        return value
+
+    def relation(self) -> tuple[Element, Element]:
+        lhs = self.side()
+        if self.accept_op("=") is None:
+            raise ExprSyntaxError("expected '='", self.peek().pos)
+        rhs = self.side()
+        self.end()
+        return lhs, rhs
+
+    def side(self) -> Element:
         tok = self.peek()
         if tok.kind == "END":
             raise ExprSyntaxError("empty expression", tok.pos)
-        value = self.expr()
+        return self.expr()
+
+    def end(self) -> None:
         tok = self.peek()
         if tok.kind != "END":
             raise ExprSyntaxError(f"unexpected {tok.text!r}", tok.pos)
-        return value
 
     def expr(self) -> Element:
         negate = self.accept_op("-") is not None
@@ -181,6 +196,11 @@ class _Parser:
 def parse_element(text: str, presentation: Presentation) -> Element:
     """Parse an expression over the presentation's generators (free, unreduced)."""
     return _Parser(text, presentation).parse()
+
+
+def parse_relation(text: str, presentation: Presentation) -> tuple[Element, Element]:
+    """Parse ``lhs = rhs`` into both sides (free, unreduced)."""
+    return _Parser(text, presentation).relation()
 
 
 def parse_scalar(text: str) -> ScalarQ:

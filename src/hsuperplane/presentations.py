@@ -18,10 +18,11 @@ suites (Heisenberg, oscillator, involution, coaction) returning
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .scalar import ONE, ZERO, I, Q, ScalarQ, qpow, sc
+from .scalar import ONE, ZERO, Q, ScalarQ, qpow, sc
 from .algebra import (
     AlgebraError,
     AlgebraMorphism,
@@ -31,6 +32,7 @@ from .algebra import (
     gen,
     word,
 )
+from .expr import parse_relation
 from .reports import VerificationReport
 
 
@@ -102,62 +104,56 @@ class CoefficientSolution:
     A_free: bool = True
 
 
+CONSISTENCY_UNKNOWNS = ("B", "F11", "F12", "F21", "F22")
+
+# In the order the equations arise when the exterior differential is applied
+# to each defining relation of the calculus.
+CONSISTENCY_EQUATIONS = (
+    "F11 = q*(1 - F22)",
+    "F12 = -(1 + q*F21)",
+    "F12 = q*F11 - 1",
+    "F21 = q*(F22 - 1)",
+    "F12 + F21 = q*(F11 + F22) - (1 + q)*B",
+    "B = 1",
+    "F12 + F21 + 1 = (1 - q)*F21",
+    "1 - F11 - F22 = (1 - q)*(1 - F22)",
+)
+
+
+@functools.cache
+def _consistency_forms() -> tuple[Element, ...]:
+    """lhs - rhs of each of ``CONSISTENCY_EQUATIONS``, parsed once."""
+    unknowns = Presentation("consistency-unknowns", [(u, 0) for u in CONSISTENCY_UNKNOWNS])
+    sides = (parse_relation(text, unknowns) for text in CONSISTENCY_EQUATIONS)
+    return tuple(left - right for left, right in sides)
+
+
 def consistency_system() -> tuple[list[list[ScalarQ]], list[ScalarQ], list[str]]:
     """The linear system obeyed by (B, F11, F12, F21, F22).
 
-    Rows are returned in the order the equations arise when the exterior
-    differential is applied to each defining relation of the calculus.
-    Two of the eight equations repeat earlier ones, so the system leaves a
+    A row and its right-hand side are the coefficients and the negated
+    constant of lhs - rhs of one of ``CONSISTENCY_EQUATIONS``.  Two of the
+    eight equations repeat earlier ones, so the system leaves a
     one-parameter family: F22 is not pinned down by d-consistency alone.
     """
-    one, q = ONE, Q
-    rows = [
-        [ZERO, one, ZERO, ZERO, q],
-        [ZERO, ZERO, one, q, ZERO],
-        [ZERO, -q, one, ZERO, ZERO],
-        [ZERO, ZERO, ZERO, one, -q],
-        [one + q, -q, one, one, -q],
-        [one, ZERO, ZERO, ZERO, ZERO],
-        [ZERO, ZERO, one, q, ZERO],
-        [ZERO, one, ZERO, ZERO, q],
-    ]
-    rhs = [q, -one, -one, -q, ZERO, one, -one, q]
-    labels = [
-        "F11 = q*(1 - F22)",
-        "F12 = -(1 + q*F21)",
-        "F12 = q*F11 - 1",
-        "F21 = q*(F22 - 1)",
-        "F12 + F21 = q*(F11 + F22) - (1 + q)*B",
-        "B = 1",
-        "F12 + F21 + 1 = (1 - q)*F21",
-        "1 - F11 - F22 = (1 - q)*(1 - F22)",
-    ]
-    return rows, rhs, labels
+    forms = _consistency_forms()
+    rows = [[form.coefficient((u,)) for u in CONSISTENCY_UNKNOWNS] for form in forms]
+    rhs = [-form.scalar_part() for form in forms]
+    return rows, rhs, list(CONSISTENCY_EQUATIONS)
 
 
 def consistency_equations(sol: CoefficientSolution) -> list[tuple[str, ScalarQ]]:
-    """Residual of each consistency equation under a candidate solution.
+    """Residual of each consistency equation under a candidate solution:
+    lhs - rhs with the solution substituted for the unknowns.
 
     All residuals vanish identically in q exactly when the solution
     satisfies the system.
     """
-    one, q = ONE, Q
-    B, F11, F12, F21, F22 = sol.B, sol.F11, sol.F12, sol.F21, sol.F22
+    value = {(u,): getattr(sol, u) for u in CONSISTENCY_UNKNOWNS}
+    value[()] = ONE
     return [
-        ("F11 = q*(1 - F22)", F11 - q * (one - F22)),
-        ("F12 = -(1 + q*F21)", F12 + one + q * F21),
-        ("F12 = q*F11 - 1", F12 - (q * F11 - one)),
-        ("F21 = q*(F22 - 1)", F21 - q * (F22 - one)),
-        (
-            "F12 + F21 = q*(F11 + F22) - (1 + q)*B",
-            F12 + F21 - (q * (F11 + F22) - (one + q) * B),
-        ),
-        ("B = 1", B - one),
-        ("F12 + F21 + 1 = (1 - q)*F21", F12 + F21 + one - (one - q) * F21),
-        (
-            "1 - F11 - F22 = (1 - q)*(1 - F22)",
-            one - F11 - F22 - (one - q) * (one - F22),
-        ),
+        (label, sum((c * value[w] for w, c in form.items()), ZERO))
+        for label, form in zip(CONSISTENCY_EQUATIONS, _consistency_forms())
     ]
 
 
@@ -207,7 +203,7 @@ def solve_linear(
 def solve_consistency() -> CoefficientSolution:
     """Solve the d-consistency system for the calculus coefficients.
 
-    The system itself fixes B = 1 and ties F11, F12, F21 to F22, leaving a
+    The system itself fixes B to 1 and ties F11, F12, F21 to F22, leaving a
     one-parameter family.  The catalogue uses the F22 = 0 member: it is the
     normalization under which the mixed relations stay polynomial in q and
     reproduce the standard exchange matrix, and it makes the solution
@@ -390,8 +386,8 @@ def build_gl_h11() -> Presentation:
     """Function algebra of the h-deformed supergroup GL_h(1|1).
 
     Generators: even a, dd on the diagonal, odd bt, gm off the diagonal.
-    Pairs without an explicit rule graded-commute, which covers the
-    relations a*bt = bt*a, dd*bt = bt*dd and bt^2 = 0.
+    Pairs without an explicit rule graded-commute, which covers bt with a
+    and dd, and the square of bt.
     """
     rules = [
         (
@@ -410,20 +406,31 @@ def build_gl_h11() -> Presentation:
     return Presentation("gl-h11", GL_GENERATORS, rules)
 
 
+HEISENBERG_RELATIONS = (
+    "x*th = th*x + h*x^2",
+    "th^2 = -h*th*x",
+    "pth*px = px*pth",
+    "pth^2 = 0",
+    "px*x = x*px + i*(1 + h*x*pth)",
+    "pth*x = x*pth",
+    "px*th = th*px - h*(x*px + i*th*pth)",
+    "pth*th = 1 - th*pth + h*x*pth",
+)
+
+
 def build_h_heisenberg() -> Presentation:
-    """The h-deformed super-Heisenberg algebra on (x, th, px, pth)."""
-    one = Element.scalar(1)
-    rules = [
-        (("x", "th"), word("th", "x") + word("h", "x", "x")),
-        (("th", "th"), -word("h", "th", "x")),
-        (("pth", "px"), word("px", "pth")),
-        (("pth", "pth"), Element.zero()),
-        (("px", "x"), word("x", "px") + Element.scalar(I) + I * word("h", "x", "pth")),
-        (("pth", "x"), word("x", "pth")),
-        (("px", "th"), word("th", "px") - word("h", "x", "px") - I * word("h", "th", "pth")),
-        (("pth", "th"), one - word("th", "pth") + word("h", "x", "pth")),
-        (("h", "h"), Element.zero()),
-    ]
+    """The h-deformed super-Heisenberg algebra on (x, th, px, pth).
+
+    Each of ``HEISENBERG_RELATIONS`` rewrites its one-word left side; h
+    squares to zero.
+    """
+    free = Presentation("h-heisenberg", HEISENBERG_GENERATORS)
+    rules = []
+    for text in HEISENBERG_RELATIONS:
+        lhs, rhs = parse_relation(text, free)
+        (lhs_word,) = lhs.words()
+        rules.append((lhs_word, rhs))
+    rules.append((("h", "h"), Element.zero()))
     return Presentation("h-heisenberg", HEISENBERG_GENERATORS, rules)
 
 
@@ -518,7 +525,7 @@ def build_coaction_product() -> Presentation:
     partial = Presentation(
         "coaction-core", COACTION_GENERATORS, core, derivatives=CALCULUS_DERIVATIVES
     )
-    mod_h = partial.with_h_dropped("coaction-core|h=0")
+    mod_h = set_h_to_zero(partial, "coaction-core|h=0")
     stored = partial.rules
     derived: list[tuple[tuple[str, str], Element]] = []
     for pair, base_pair in (
@@ -596,16 +603,17 @@ def limit_presentation(p: Presentation, name: Optional[str] = None) -> Presentat
         for lhs, rhs in p.rules.items()
     ]
     return Presentation(
-        name or f"{p.name}|q=1",
-        [(g.name, g.parity) for g in p.generators],
-        relations,
-        derivatives=p.derivatives,
+        name or f"{p.name}|q=1", p.generators, relations, derivatives=p.derivatives
     )
 
 
 def set_h_to_zero(p: Presentation, name: Optional[str] = None) -> Presentation:
-    """Drop every h term from the rules (the h -> 0 specialization)."""
-    return p.with_h_dropped(name)
+    """Same generators, every rule right-hand side taken modulo h (the h -> 0
+    specialization)."""
+    relations = [(lhs, rhs.drop_words_containing("h")) for lhs, rhs in p.rules.items()]
+    return Presentation(
+        name or f"{p.name}|h=0", p.generators, relations, derivatives=p.derivatives
+    )
 
 
 _TRANSPORT_IMAGES = {
@@ -627,7 +635,7 @@ def transport_morphism(p_q: Presentation) -> AlgebraMorphism:
     1/(q - 1), which is what makes the q -> 1 limit a contraction.
     """
     c = ONE / (Q - ONE)
-    target = p_q.with_h_dropped(f"{p_q.name}|h=0")
+    target = set_h_to_zero(p_q)
     images: dict[str, Element] = {}
     for g in p_q.generators:
         if g.name not in _TRANSPORT_IMAGES:
@@ -683,35 +691,23 @@ def verify_presentation(
 def build_heisenberg() -> tuple[Presentation, VerificationReport]:
     """Realize the Heisenberg operators inside the calculus and verify.
 
-    The hatted operators are x, th + h*x, i*(px - h*pth), pth; all their
-    exchange relations are verified by normalization, and the abstract
-    presentation they satisfy is returned together with the report.
+    The map of the Heisenberg generators onto the hatted operators carries
+    lhs - rhs of each of ``HEISENBERG_RELATIONS`` into the calculus, where
+    it must vanish.  The abstract presentation they satisfy is returned
+    together with the report.
     """
     hc = get_presentation("h-calculus")
-    h = gen("h")
-    one = Element.scalar(1)
-    xh = gen("x")
-    thh = gen("th") + word("h", "x")
-    pxh = I * gen("px") - I * word("h", "pth")
-    pthh = gen("pth")
-    relations = [
-        ("x*th = th*x + h*x^2", xh * thh - thh * xh - h * xh * xh),
-        ("th^2 = -h*th*x", thh * thh + h * thh * xh),
-        ("pth*px = px*pth", pthh * pxh - pxh * pthh),
-        ("pth^2 = 0", pthh * pthh),
-        ("px*x = x*px + i*(1 + h*x*pth)", pxh * xh - xh * pxh - I * (one + h * xh * pthh)),
-        ("pth*x = x*pth", pthh * xh - xh * pthh),
-        (
-            "px*th = th*px - h*(x*px + i*th*pth)",
-            pxh * thh - thh * pxh + h * (xh * pxh + I * thh * pthh),
-        ),
-        (
-            "pth*th = 1 - th*pth + h*x*pth",
-            pthh * thh - one + thh * pthh - h * xh * pthh,
-        ),
-    ]
+    heisenberg = get_presentation("h-heisenberg")
+    operators = {"h": "h", "x": "x", "th": "th + h*x", "px": "i*(px - h*pth)", "pth": "pth"}
+    hatted = AlgebraMorphism(
+        heisenberg, hc, {g: hc.parse(text) for g, text in operators.items()}
+    )
+    relations = []
+    for text in HEISENBERG_RELATIONS:
+        lhs, rhs = parse_relation(text, heisenberg)
+        relations.append((text, hatted(lhs - rhs)))
     report = verify_presentation(hc, relations, suite="heisenberg")
-    return get_presentation("h-heisenberg"), report
+    return heisenberg, report
 
 
 def oscillator_check() -> VerificationReport:
@@ -849,13 +845,14 @@ def coaction_check() -> VerificationReport:
             report.add(label, product.show(residual), residual.is_zero())
     control = _build_coaction_control()
     delta0 = AlgebraMorphism(hc, control, coaction_images())
-    relation = Element.word(("x", "th")) - hc_rules[("x", "th")]
-    residual0 = delta0(relation)
+    lhs = ("x", "th")
+    residual0 = delta0(Element.word(lhs) - hc_rules[lhs])
     control_ok = (not residual0.is_zero()) and all(
         "h" in w for w in residual0.words()
     )
     report.add(
-        "control: undeformed group letters break x*th = th*x + h*x^2",
+        "control: undeformed group letters break "
+        f"{hc.show(Element.word(lhs))} = {hc.show(hc_rules[lhs])}",
         control.show(residual0),
         control_ok,
         expected="nonzero residual, every term carrying h",

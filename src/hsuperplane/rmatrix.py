@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .algebra import AlgebraError, Element, Presentation, gen, word
+from .expr import parse_relation
 from .presentations import (
     CALCULUS_DERIVATIVES,
     CALCULUS_GENERATORS,
@@ -439,52 +440,24 @@ def _canonical_modulo_h2(element: Element, free: Presentation) -> Element:
     return kept + free.normal_form(element - kept)
 
 
-def _supergroup_relations() -> list:
-    """The printed supergroup relations as free Elements (lhs - rhs)."""
-    return [
-        ("a*bt = bt*a", word("a", "bt") - word("bt", "a")),
-        (
-            "a*gm = gm*a + h*(a^2 + gm*bt - a*dd)",
-            word("a", "gm")
-            - word("gm", "a")
-            - word("h", "a", "a")
-            - word("h", "gm", "bt")
-            + word("h", "a", "dd"),
-        ),
-        ("dd*bt = bt*dd", word("dd", "bt") - word("bt", "dd")),
-        (
-            "dd*gm = gm*dd - h*(dd^2 - gm*bt - dd*a)",
-            word("dd", "gm")
-            - word("gm", "dd")
-            + word("h", "dd", "dd")
-            - word("h", "gm", "bt")
-            - word("h", "dd", "a"),
-        ),
-        ("bt^2 = 0", word("bt", "bt")),
-        (
-            "gm^2 = h*gm*(dd - a)",
-            word("gm", "gm") - word("h", "gm", "dd") + word("h", "gm", "a"),
-        ),
-        (
-            "bt*gm = -gm*bt + h*bt*(dd - a)",
-            word("bt", "gm")
-            + word("gm", "bt")
-            - word("h", "bt", "dd")
-            + word("h", "bt", "a"),
-        ),
-        (
-            "a*dd = dd*a + h*bt*(a - dd)",
-            word("a", "dd") - word("dd", "a") - word("h", "bt", "a") + word("h", "bt", "dd"),
-        ),
-    ]
+SUPERGROUP_RELATIONS = (
+    "a*bt = bt*a",
+    "a*gm = gm*a + h*(a^2 + gm*bt - a*dd)",
+    "dd*bt = bt*dd",
+    "dd*gm = gm*dd - h*(dd^2 - gm*bt - dd*a)",
+    "bt^2 = 0",
+    "gm^2 = h*gm*(dd - a)",
+    "bt*gm = -gm*bt + h*bt*(dd - a)",
+    "a*dd = dd*a + h*bt*(a - dd)",
+)
 
 
 def rtt_report() -> VerificationReport:
     """Expand the reflection relation and compare with the supergroup.
 
     Every entry must normalize to 0 under the supergroup presentation,
-    and every printed supergroup relation must appear among the entries
-    up to a nonzero scalar.
+    and every relation of ``SUPERGROUP_RELATIONS`` must appear among the
+    entries up to a nonzero scalar.
     """
     gl = get_presentation("gl-h11")
     entries = rtt_expand(build_Khat_h())
@@ -499,8 +472,9 @@ def rtt_report() -> VerificationReport:
         report.add(f"entry ({label}) reduces to 0", gl.show(nf), nf.is_zero())
     free = Presentation(f"{gl.name}|free", gl.generators)
     canonical = [_canonical_modulo_h2(e, free) for e in entries]
-    for label, relation in _supergroup_relations():
-        relation = _canonical_modulo_h2(relation, free)
+    for label in SUPERGROUP_RELATIONS:
+        lhs, rhs = parse_relation(label, free)
+        relation = _canonical_modulo_h2(lhs - rhs, free)
         lead = sorted(relation.words())[0]
         scale = None
         for candidate in canonical:

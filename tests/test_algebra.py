@@ -15,6 +15,7 @@ from hsuperplane.algebra import (
     gen,
     word,
 )
+from hsuperplane.presentations import set_h_to_zero
 from hsuperplane.scalar import I, ONE, Q, qpow, sc
 
 
@@ -287,6 +288,20 @@ def test_two_pass_normalisation_uses_sibling_rules():
     assert p.rules[("a", "a")] == word("b")
 
 
+def test_central_letter_is_found_from_the_rules_not_the_name():
+    # e is odd and no rule rewrites it, so a rule may lengthen a word by one e
+    generators = [("e", 1), ("th", 1), ("x", 0)]
+    rules = [
+        (("x", "th"), word("th", "x") + word("e", "x", "x")),
+        (("th", "th"), -word("e", "th", "x")),
+    ]
+    p = Presentation("e-plane", generators, rules)
+    assert p.normal_form(word("th", "th")) == -word("e", "th", "x")
+    # once a rule rewrites e, a longer right side is no longer smaller
+    with pytest.raises(RuleError):
+        Presentation("e-plane", generators, rules + [(("th", "e"), -word("e", "th"))])
+
+
 # -- parity bookkeeping ------------------------------------------------------------
 
 
@@ -367,7 +382,7 @@ def test_with_h_dropped(plane):
             (("h", "h"), Element.zero()),
         ],
     )
-    dropped = q_only.with_h_dropped()
+    dropped = set_h_to_zero(q_only)
     assert dropped.rules[("x", "th")] == Q * word("th", "x")
     assert dropped.rules[("th", "th")] == Element.zero()
     assert dropped.has_generator("h")

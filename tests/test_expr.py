@@ -11,6 +11,7 @@ from hsuperplane.expr import (
     UnknownSymbolError,
     format_element,
     parse_element,
+    parse_relation,
     parse_scalar,
 )
 from hsuperplane.scalar import I, ONE, Q, ScalarQ, qpow, sc
@@ -131,6 +132,21 @@ def test_bad_character_offset(plane):
     with pytest.raises(ExprSyntaxError) as err:
         parse_element("x + $", plane)
     assert err.value.position == 4
+
+
+def test_parse_relation_returns_both_sides_unreduced(plane):
+    lhs, rhs = parse_relation("x*th = q*th*x + th*th", plane)
+    assert lhs == word("x", "th")
+    assert rhs == Q * word("th", "x") + word("th", "th")
+
+
+def test_parse_relation_needs_exactly_one_equals_sign(plane):
+    with pytest.raises(ExprSyntaxError, match="expected '='") as err:
+        parse_relation("x*th", plane)
+    assert err.value.position == 4
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_relation("x = th = x", plane)
+    assert err.value.position == 7
 
 
 def test_parse_scalar():
