@@ -279,12 +279,11 @@ class RewriteRule:
     rhs: Element
 
 
-def _inversions(word: Word, index: Mapping[str, int]) -> int:
+def _inversions(ranks: Sequence[int]) -> int:
     count = 0
-    for a in range(len(word)):
-        ia = index[word[a]]
-        for b in range(a + 1, len(word)):
-            if ia > index[word[b]]:
+    for a in range(len(ranks)):
+        for b in range(a + 1, len(ranks)):
+            if ranks[a] > ranks[b]:
                 count += 1
     return count
 
@@ -428,12 +427,10 @@ class Presentation:
         """Termination order, smaller first: more central letters, then fewer
         inversions, fewer other odd letters, fewer letters.  A rule may add
         a central letter, which can happen at most once in a nonzero word."""
-        index = {g.name: g.order_index for g in self.generators}
+        gens = [self._by_name[g] for g in word]
         central = sum(1 for g in word if g in self._central)
-        odd_other = sum(
-            1 for g in word if g not in self._central and self._by_name[g].parity
-        )
-        return (-central, _inversions(word, index), odd_other, len(word))
+        odd_other = sum(1 for g in gens if g.parity and g.name not in self._central)
+        return (-central, _inversions([g.order_index for g in gens]), odd_other, len(word))
 
     # -- basic queries -------------------------------------------------------
 

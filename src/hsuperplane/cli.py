@@ -10,9 +10,11 @@ tensor print NAME [--json]      render a deformation matrix
 
 A presentation file passed with --load (lines ``gen <name> <even|odd>``
 and ``rule <lhs> = <element>``) is registered under its file stem and
-becomes the default algebra for ``normalize``.  A file whose rules are not
-confluent is rejected: each overlap whose two reductions differ is printed
-with both normal forms, and the command exits 1.
+becomes the default algebra for ``normalize``.  Its ``rule`` lines are
+read by ``expr.parse_rule``, which also builds every fixed catalogue entry
+from its relation text; a line it rejects is reported as ``path:line``.
+A file whose rules are not confluent is rejected: each overlap whose two
+reductions differ is printed with both normal forms, and the command exits 1.
 
 Exit codes: 0 on success, 1 on verification failure (including a --load
 file that is not confluent), 2 on usage or parse errors.
@@ -24,7 +26,7 @@ from pathlib import Path
 from typing import Optional
 
 from .algebra import AlgebraError, Element, Presentation
-from .expr import ExprSyntaxError, UnknownSymbolError, parse_relation, parse_scalar
+from .expr import ExprSyntaxError, UnknownSymbolError, parse_rule, parse_scalar
 from .presentations import (
     UnknownPresentationError,
     build_heisenberg,
@@ -49,7 +51,7 @@ from .rmatrix import (
     ybe_report,
 )
 from .differential import dsquared_report, operator_report
-from .scalar import ONE, DivisionByZero, PoleAtOne
+from .scalar import DivisionByZero, PoleAtOne
 
 
 class UnknownSuiteError(ValueError):
@@ -114,13 +116,10 @@ def load_presentation(path: str) -> Presentation:
     scratch = Presentation(name, generators, [])
     relations = []
     for number, text in rule_lines:
-        lhs, rhs = parse_relation(text, scratch)
-        if len(list(lhs.words())) != 1:
-            raise AlgebraError(f"{path}:{number}: rule left side must be one word")
-        ((w, coeff),) = lhs.items()
-        if coeff != ONE:
-            raise AlgebraError(f"{path}:{number}: rule left side must have factor 1")
-        relations.append((w, rhs))
+        try:
+            relations.append(parse_rule(text, scratch))
+        except (ExprSyntaxError, UnknownSymbolError, AlgebraError, DivisionByZero) as err:
+            raise AlgebraError(f"{path}:{number}: {err}") from None
     return Presentation(name, generators, relations)
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from .algebra import Element, Presentation
+from .algebra import Element, Presentation, RuleError
 from .scalar import I, ONE, Q, ScalarQ
 
 
@@ -201,6 +201,20 @@ def parse_element(text: str, presentation: Presentation) -> Element:
 def parse_relation(text: str, presentation: Presentation) -> tuple[Element, Element]:
     """Parse ``lhs = rhs`` into both sides (free, unreduced)."""
     return _Parser(text, presentation).relation()
+
+
+def parse_rule(text: str, presentation: Presentation) -> tuple[tuple, Element]:
+    """Parse ``lhs = rhs`` into a rewrite rule (lhs word, rhs element).
+
+    The left side must be one word with factor 1; otherwise RuleError.
+    """
+    lhs, rhs = parse_relation(text, presentation)
+    if lhs.term_count() != 1:
+        raise RuleError("rule left side must be one word")
+    ((w, coeff),) = lhs.items()
+    if coeff != ONE:
+        raise RuleError("rule left side must have factor 1")
+    return w, rhs
 
 
 def parse_scalar(text: str) -> ScalarQ:

@@ -10,6 +10,9 @@ The central objects are rewrite-rule presentations of:
 * the h-deformed super-Heisenberg algebra and the q-deformed
   super-oscillator algebra realized inside the calculi.
 
+The fixed entries are written as the ``lhs = rhs`` text they print (the
+``*_RELATIONS`` tuples) and read by ``expr.parse_rule``.
+
 The module also houses the linear solver that fixes the calculus
 coefficients from the d-consistency equations, and named verification
 suites (Heisenberg, oscillator, involution, coaction) returning
@@ -32,7 +35,7 @@ from .algebra import (
     gen,
     word,
 )
-from .expr import parse_relation
+from .expr import parse_relation, parse_rule
 from .reports import VerificationReport
 
 
@@ -226,20 +229,30 @@ def solve_consistency() -> CoefficientSolution:
 # -- catalogue builders --------------------------------------------------------
 
 
+Q_SUPERPLANE_RELATIONS = (
+    "x*th = q*th*x",
+    "th^2 = 0",
+    "dx^2 = 0",
+    "dx*dth = q^-1*dth*dx",
+    "h^2 = 0",
+)
+
+
+def _from_relations(name: str, generators, relations, **options) -> Presentation:
+    """A fresh presentation whose rules are read from ``lhs = rhs`` texts."""
+    free = Presentation(name, generators)
+    return Presentation(
+        name, generators, [parse_rule(text, free) for text in relations], **options
+    )
+
+
 def build_q_superplane() -> Presentation:
     """Coordinates (x, th) and differentials (dx, dth) at the q level.
 
     h is carried along as a passive odd constant so that elements of the
     contracted algebras parse in this presentation too.
     """
-    rules = [
-        (("x", "th"), Q * word("th", "x")),
-        (("th", "th"), Element.zero()),
-        (("dx", "dx"), Element.zero()),
-        (("dx", "dth"), qpow(-1) * word("dth", "dx")),
-        (("h", "h"), Element.zero()),
-    ]
-    return Presentation("q-superplane", PLANE_GENERATORS, rules)
+    return _from_relations("q-superplane", PLANE_GENERATORS, Q_SUPERPLANE_RELATIONS)
 
 
 def build_qh_rules(A: Optional[ScalarQ] = None, *, name: str = "qh-calculus") -> Presentation:
@@ -255,13 +268,7 @@ def build_qh_rules(A: Optional[ScalarQ] = None, *, name: str = "qh-calculus") ->
         A = solution.A
     elif not isinstance(A, ScalarQ):
         A = sc(A)
-    F11, F12, F21, F22, B = (
-        solution.F11,
-        solution.F12,
-        solution.F21,
-        solution.F22,
-        solution.B,
-    )
+    B, F11, F12, F21, F22 = (getattr(solution, u) for u in CONSISTENCY_UNKNOWNS)
     c = ONE / (Q - ONE)
     one = Element.scalar(1)
     rules = [
@@ -346,40 +353,56 @@ def build_qh_rules(A: Optional[ScalarQ] = None, *, name: str = "qh-calculus") ->
     )
 
 
+# The h-superplane calculus, written independently of the q-level
+# derivation: the contraction suite compares the two.
+H_CALCULUS_RELATIONS = (
+    # coordinates
+    "x*th = th*x + h*x^2",
+    "th^2 = -h*th*x",
+    # differentials (dual plane)
+    "dx^2 = 0",
+    "dx*dth = dth*dx",
+    # coordinates with differentials
+    "x*dx = dx*x",
+    "x*dth = dth*x - h*dx*x",
+    "th*dx = -dx*th - h*dx*x",
+    "th*dth = dth*th - h*dx*th - h*dth*x",
+    # derivatives
+    "pth*px = px*pth",
+    "pth^2 = 0",
+    # derivatives with coordinates
+    "px*x = 1 + x*px + h*x*pth",
+    "px*th = th*px - h*x*px - h*th*pth",
+    "pth*x = x*pth",
+    "pth*th = 1 - th*pth + h*x*pth",
+    # derivatives with differentials
+    "px*dx = dx*px - h*dx*pth",
+    "px*dth = dth*px + h*dx*px + h*dth*pth",
+    "pth*dx = -dx*pth",
+    "pth*dth = dth*pth + h*dx*pth",
+    # odd deformation parameter
+    "h^2 = 0",
+)
+
+
 def build_h_calculus() -> Presentation:
     """The h-superplane calculus: all exchange coefficients at q = 1."""
-    one = Element.scalar(1)
-    rules = [
-        # coordinates
-        (("x", "th"), word("th", "x") + word("h", "x", "x")),
-        (("th", "th"), -word("h", "th", "x")),
-        # differentials (dual plane)
-        (("dx", "dx"), Element.zero()),
-        (("dx", "dth"), word("dth", "dx")),
-        # coordinates with differentials
-        (("x", "dx"), word("dx", "x")),
-        (("x", "dth"), word("dth", "x") - word("h", "dx", "x")),
-        (("th", "dx"), -word("dx", "th") - word("h", "dx", "x")),
-        (("th", "dth"), word("dth", "th") - word("h", "dx", "th") - word("h", "dth", "x")),
-        # derivatives
-        (("pth", "px"), word("px", "pth")),
-        (("pth", "pth"), Element.zero()),
-        # derivatives with coordinates
-        (("px", "x"), one + word("x", "px") + word("h", "x", "pth")),
-        (("px", "th"), word("th", "px") - word("h", "x", "px") - word("h", "th", "pth")),
-        (("pth", "x"), word("x", "pth")),
-        (("pth", "th"), one - word("th", "pth") + word("h", "x", "pth")),
-        # derivatives with differentials
-        (("px", "dx"), word("dx", "px") - word("h", "dx", "pth")),
-        (("px", "dth"), word("dth", "px") + word("h", "dx", "px") + word("h", "dth", "pth")),
-        (("pth", "dx"), -word("dx", "pth")),
-        (("pth", "dth"), word("dth", "pth") + word("h", "dx", "pth")),
-        # odd deformation parameter
-        (("h", "h"), Element.zero()),
-    ]
-    return Presentation(
-        "h-calculus", CALCULUS_GENERATORS, rules, derivatives=CALCULUS_DERIVATIVES
+    return _from_relations(
+        "h-calculus",
+        CALCULUS_GENERATORS,
+        H_CALCULUS_RELATIONS,
+        derivatives=CALCULUS_DERIVATIVES,
     )
+
+
+GL_H11_RELATIONS = (
+    "gm*a = a*gm - h*a^2 - h*gm*bt + h*a*dd",
+    "dd*gm = gm*dd - h*dd^2 + h*gm*bt + h*dd*a",
+    "gm^2 = h*gm*dd - h*gm*a",
+    "gm*bt = -bt*gm + h*bt*dd - h*bt*a",
+    "dd*a = a*dd - h*bt*a + h*bt*dd",
+    "h^2 = 0",
+)
 
 
 def build_gl_h11() -> Presentation:
@@ -389,21 +412,7 @@ def build_gl_h11() -> Presentation:
     Pairs without an explicit rule graded-commute, which covers bt with a
     and dd, and the square of bt.
     """
-    rules = [
-        (
-            ("gm", "a"),
-            word("a", "gm") - word("h", "a", "a") - word("h", "gm", "bt") + word("h", "a", "dd"),
-        ),
-        (
-            ("dd", "gm"),
-            word("gm", "dd") - word("h", "dd", "dd") + word("h", "gm", "bt") + word("h", "dd", "a"),
-        ),
-        (("gm", "gm"), word("h", "gm", "dd") - word("h", "gm", "a")),
-        (("gm", "bt"), -word("bt", "gm") + word("h", "bt", "dd") - word("h", "bt", "a")),
-        (("dd", "a"), word("a", "dd") - word("h", "bt", "a") + word("h", "bt", "dd")),
-        (("h", "h"), Element.zero()),
-    ]
-    return Presentation("gl-h11", GL_GENERATORS, rules)
+    return _from_relations("gl-h11", GL_GENERATORS, GL_H11_RELATIONS)
 
 
 HEISENBERG_RELATIONS = (
@@ -424,14 +433,19 @@ def build_h_heisenberg() -> Presentation:
     Each of ``HEISENBERG_RELATIONS`` rewrites its one-word left side; h
     squares to zero.
     """
-    free = Presentation("h-heisenberg", HEISENBERG_GENERATORS)
-    rules = []
-    for text in HEISENBERG_RELATIONS:
-        lhs, rhs = parse_relation(text, free)
-        (lhs_word,) = lhs.words()
-        rules.append((lhs_word, rhs))
-    rules.append((("h", "h"), Element.zero()))
-    return Presentation("h-heisenberg", HEISENBERG_GENERATORS, rules)
+    return _from_relations(
+        "h-heisenberg", HEISENBERG_GENERATORS, HEISENBERG_RELATIONS + ("h^2 = 0",)
+    )
+
+
+Q_OSCILLATOR_RELATIONS = (
+    "a*ad = 1 + q^2*ad*a + (q^2 - 1)*bd*b",
+    "b*bd = 1 - bd*b",
+    "a*bd = q*bd*a",
+    "a*b = q^-1*b*a",
+    "b*ad = q*ad*b",
+    "bd*ad = q^-1*ad*bd",
+)
 
 
 def build_q_oscillator() -> Presentation:
@@ -441,16 +455,7 @@ def build_q_oscillator() -> Presentation:
     the realization of the oscillator inside the calculus; they are exactly
     what the remaining rules need to be confluent.
     """
-    one = Element.scalar(1)
-    rules = [
-        (("a", "ad"), one + Q * Q * word("ad", "a") + (Q * Q - ONE) * word("bd", "b")),
-        (("b", "bd"), one - word("bd", "b")),
-        (("a", "bd"), Q * word("bd", "a")),
-        (("a", "b"), qpow(-1) * word("b", "a")),
-        (("b", "ad"), Q * word("ad", "b")),
-        (("bd", "ad"), qpow(-1) * word("ad", "bd")),
-    ]
-    return Presentation("q-oscillator", OSCILLATOR_GENERATORS, rules)
+    return _from_relations("q-oscillator", OSCILLATOR_GENERATORS, Q_OSCILLATOR_RELATIONS)
 
 
 # -- coaction product algebra ----------------------------------------------
@@ -496,17 +501,15 @@ def _inverse_swap_rule(
     ).scale(kinv)
 
 
+COACTION_UNIT_RELATIONS = ("a*ai = 1", "ai*a = 1", "dd*ddi = 1", "ddi*dd = 1")
+
+
 def _coaction_rules(group_rules: list) -> list:
     """The h-calculus rules, then ``group_rules``, then the unit rules of the
     formal inverses ai, ddi."""
-    one = Element.scalar(1)
-    unit_rules = [
-        (("a", "ai"), one),
-        (("ai", "a"), one),
-        (("dd", "ddi"), one),
-        (("ddi", "dd"), one),
-    ]
-    return list(build_h_calculus().rules.items()) + group_rules + unit_rules
+    free = Presentation("coaction-free", COACTION_GENERATORS)
+    unit_rules = [parse_rule(text, free) for text in COACTION_UNIT_RELATIONS]
+    return list(get_presentation("h-calculus").rules.items()) + group_rules + unit_rules
 
 
 def build_coaction_product() -> Presentation:
@@ -519,7 +522,9 @@ def build_coaction_product() -> Presentation:
     rule is re-verified by multiplying the inverse back in.
     """
     gl_rules = [
-        (lhs, rhs) for lhs, rhs in build_gl_h11().rules.items() if lhs != ("h", "h")
+        (lhs, rhs)
+        for lhs, rhs in get_presentation("gl-h11").rules.items()
+        if lhs != ("h", "h")
     ]
     core = _coaction_rules(gl_rules)
     partial = Presentation(
@@ -573,21 +578,21 @@ def _build_coaction_control() -> Presentation:
     )
 
 
+_COACTION_IMAGES = {
+    "x": "a*x + bt*th",
+    "th": "gm*x + dd*th",
+    "dx": "a*dx - bt*dth",
+    "dth": "-gm*dx + dd*dth",
+    "px": "ai*px - ai*gm*ddi*bt*ai*px - ai*gm*ddi*pth",
+    "pth": "ddi*pth - ddi*bt*ai*gm*ddi*pth + ddi*bt*ai*px",
+    "h": "h",
+}
+
+
 def coaction_images() -> dict[str, Element]:
     """Images of the calculus generators under the supergroup coaction."""
-    return {
-        "x": word("a", "x") + word("bt", "th"),
-        "th": word("gm", "x") + word("dd", "th"),
-        "dx": word("a", "dx") - word("bt", "dth"),
-        "dth": -word("gm", "dx") + word("dd", "dth"),
-        "px": word("ai", "px")
-        - word("ai", "gm", "ddi", "bt", "ai", "px")
-        - word("ai", "gm", "ddi", "pth"),
-        "pth": word("ddi", "pth")
-        - word("ddi", "bt", "ai", "gm", "ddi", "pth")
-        + word("ddi", "bt", "ai", "px"),
-        "h": gen("h"),
-    }
+    product = get_presentation("coaction-product")
+    return {g: product.parse(text) for g, text in _COACTION_IMAGES.items()}
 
 
 # -- contraction pipeline ------------------------------------------------------
@@ -617,13 +622,13 @@ def set_h_to_zero(p: Presentation, name: Optional[str] = None) -> Presentation:
 
 
 _TRANSPORT_IMAGES = {
-    "x": ("x", None),
-    "th": ("th", ("h", "x", -1)),
-    "dx": ("dx", None),
-    "dth": ("dth", ("h", "dx", 1)),
-    "px": ("px", ("h", "pth", 1)),
-    "pth": ("pth", None),
-    "h": ("h", None),
+    "x": "x",
+    "th": "th - h*x/(q - 1)",
+    "dx": "dx",
+    "dth": "dth + h*dx/(q - 1)",
+    "px": "px + h*pth/(q - 1)",
+    "pth": "pth",
+    "h": "h",
 }
 
 
@@ -634,18 +639,12 @@ def transport_morphism(p_q: Presentation) -> AlgebraMorphism:
     plain q-level generators; the corrections carry the coefficient
     1/(q - 1), which is what makes the q -> 1 limit a contraction.
     """
-    c = ONE / (Q - ONE)
     target = set_h_to_zero(p_q)
     images: dict[str, Element] = {}
     for g in p_q.generators:
         if g.name not in _TRANSPORT_IMAGES:
             raise AlgebraError(f"no transport image for generator {g.name!r}")
-        base, correction = _TRANSPORT_IMAGES[g.name]
-        image = gen(base)
-        if correction is not None:
-            first, second, sign = correction
-            image = image + Element.word((first, second), c * sc(sign))
-        images[g.name] = image
+        images[g.name] = target.parse(_TRANSPORT_IMAGES[g.name])
     return AlgebraMorphism(p_q, target, images)
 
 
@@ -719,12 +718,10 @@ def oscillator_check() -> VerificationReport:
     h-dependence cancels (it never exceeds 1 in the intermediates).
     """
     p = get_presentation("qh-calculus")
-    c = ONE / (Q - ONE)
     one = Element.scalar(1)
-    a_plus = gen("x")
-    a_op = gen("px") - Element.word(("h", "pth"), c)
-    b_plus = gen("th") + Element.word(("h", "x"), c)
-    b_op = gen("pth")
+    a_plus, a_op, b_plus, b_op = (
+        p.parse(text) for text in ("x", "px - h*pth/(q - 1)", "th + h*x/(q - 1)", "pth")
+    )
     report = VerificationReport("oscillator", p.name)
 
     def entry(label: str, lhs: Element, rhs: Element) -> None:
@@ -775,6 +772,17 @@ _STAR_INVARIANT_PAIRS = (
 )
 
 
+_STAR_IMAGES = {
+    "x": "x",
+    "th": "th + 2*h*x",
+    "px": "-px + 2*h*pth",
+    "pth": "pth",
+    "h": "-h",
+    "dx": "dx",
+    "dth": "dth",
+}
+
+
 def build_star() -> InvolutionSpec:
     """The antilinear anti-automorphism of the h-level calculus.
 
@@ -782,20 +790,17 @@ def build_star() -> InvolutionSpec:
     anti-self-adjoint, and the differentials are fixed.
     """
     p = get_presentation("h-calculus")
-    images = {
-        "x": gen("x"),
-        "th": gen("th") + Element.word(("h", "x"), sc(2)),
-        "px": -gen("px") + Element.word(("h", "pth"), sc(2)),
-        "pth": gen("pth"),
-        "h": -gen("h"),
-        "dx": gen("dx"),
-        "dth": gen("dth"),
-    }
-    return InvolutionSpec(p, images)
+    return InvolutionSpec(p, {g: p.parse(text) for g, text in _STAR_IMAGES.items()})
 
 
 def apply_star(element: Element) -> Element:
     return build_star()(element)
+
+
+def _rule_relation(p: Presentation, lhs: tuple[str, str]) -> tuple[str, Element]:
+    """The rule of ``p`` for ``lhs`` as printed text and as lhs - rhs."""
+    rhs = p.rules[lhs]
+    return f"{p.show(Element.word(lhs))} = {p.show(rhs)}", Element.word(lhs) - rhs
 
 
 def involution_check() -> VerificationReport:
@@ -806,12 +811,10 @@ def involution_check() -> VerificationReport:
     report.add(
         "star applied twice fixes every generator", "", star.is_involutive()
     )
-    rules = p.rules
     for lhs in _STAR_INVARIANT_PAIRS:
-        relation = Element.word(lhs) - rules[lhs]
+        text, relation = _rule_relation(p, lhs)
         image = p.normal_form(star(relation))
-        label = f"star preserves {p.show(Element.word(lhs))} = {p.show(rules[lhs])}"
-        report.add(label, p.show(image), image.is_zero())
+        report.add(f"star preserves {text}", p.show(image), image.is_zero())
     return report
 
 
@@ -826,9 +829,9 @@ def coaction_check() -> VerificationReport:
     """
     hc = get_presentation("h-calculus")
     product = get_presentation("coaction-product")
-    delta = AlgebraMorphism(hc, product, coaction_images())
+    images = coaction_images()
+    delta = AlgebraMorphism(hc, product, images)
     report = VerificationReport("coaction", product.name)
-    hc_rules = hc.rules
     sectors = (
         ("coordinates", (("x", "th"), ("th", "th"))),
         ("differentials", (("x", "dx"), ("x", "dth"), ("th", "dx"), ("th", "dth"))),
@@ -836,23 +839,18 @@ def coaction_check() -> VerificationReport:
     )
     for sector, pairs in sectors:
         for lhs in pairs:
-            relation = Element.word(lhs) - hc_rules[lhs]
+            text, relation = _rule_relation(hc, lhs)
             residual = delta(relation)
-            label = (
-                f"{sector}: delta preserves "
-                f"{hc.show(Element.word(lhs))} = {hc.show(hc_rules[lhs])}"
-            )
+            label = f"{sector}: delta preserves {text}"
             report.add(label, product.show(residual), residual.is_zero())
     control = _build_coaction_control()
-    delta0 = AlgebraMorphism(hc, control, coaction_images())
-    lhs = ("x", "th")
-    residual0 = delta0(Element.word(lhs) - hc_rules[lhs])
+    text, relation = _rule_relation(hc, ("x", "th"))
+    residual0 = AlgebraMorphism(hc, control, images)(relation)
     control_ok = (not residual0.is_zero()) and all(
         "h" in w for w in residual0.words()
     )
     report.add(
-        "control: undeformed group letters break "
-        f"{hc.show(Element.word(lhs))} = {hc.show(hc_rules[lhs])}",
+        f"control: undeformed group letters break {text}",
         control.show(residual0),
         control_ok,
         expected="nonzero residual, every term carrying h",
@@ -864,7 +862,7 @@ def coaction_check() -> VerificationReport:
 
 
 def _build_q_calculus() -> Presentation:
-    return set_h_to_zero(build_qh_rules(), "q-calculus")
+    return set_h_to_zero(get_presentation("qh-calculus"), "q-calculus")
 
 
 _BUILDERS = {

@@ -582,16 +582,6 @@ def _derivative_differential_rules(t: SuperTensor) -> dict:
     return rules
 
 
-def _check_rule_parity(lhs, rhs: Element) -> None:
-    parities = {name: parity for name, parity in CALCULUS_GENERATORS}
-    expected = sum(parities[g] for g in lhs) % 2
-    for w in rhs.words():
-        if sum(parities[g] for g in w) % 2 != expected:
-            raise InconsistentRulesError(
-                f"regenerated relation for {lhs} mixes parities"
-            )
-
-
 def _coordinate_rules(khat: SuperTensor) -> dict:
     """X^i X^j = Khat^{ij}_{kl} X^k X^l, solved for the two plane rules."""
     mixed = _entry_sum(khat, lambda k, l: ((1, 2, k, l), (_X[k], _X[l])))
@@ -650,7 +640,8 @@ def regenerate_calculus(t: SuperTensor) -> Presentation:
     derivative-differential sectors come from the exchange formulas; the
     coordinate-coordinate and derivative-derivative sectors come from the
     braid form t P.  The dual-plane rules are not produced by the
-    K-matrix and are left to the Koszul defaults.
+    K-matrix and are left to the Koszul defaults.  A regenerated rule that
+    mixes parities is rejected by ``Presentation`` (RuleError).
     """
     if t.rank != 4:
         raise RankMismatchError(f"regeneration needs a rank-4 tensor, got {t.rank}")
@@ -661,8 +652,6 @@ def regenerate_calculus(t: SuperTensor) -> Presentation:
     rules.update(_derivative_coordinate_rules(t))
     rules.update(_derivative_differential_rules(t))
     rules.update(_derivative_rules(khat))
-    for lhs, rhs in rules.items():
-        _check_rule_parity(lhs, rhs)
     return Presentation(
         "regenerated-calculus",
         CALCULUS_GENERATORS,

@@ -228,12 +228,24 @@ def test_load_rejects_non_confluent_rules(tmp_path, capsys):
     assert "v^3 reduces to u*v and to 2*u*v" in captured.err
 
 
-def test_load_rejects_malformed_lines(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "lines, number, message",
+    [
+        (["gen u sideways"], 1, "cannot parse"),
+        (["gen u even", "gen v odd", "rule v*u = 2*u*$"], 3, "unexpected character '$'"),
+        (["gen u even", "gen v odd", "rule v*u = w"], 3, "unknown symbol 'w'"),
+        (["gen u even", "rule u*u = (q - q)^-1*u"], 2, "zero scalar to a negative power"),
+    ],
+    ids=["gen", "rule-syntax", "rule-symbol", "rule-zero-power"],
+)
+def test_load_rejects_malformed_lines(tmp_path, capsys, lines, number, message):
     source = tmp_path / "bad.alg"
-    source.write_text("gen u sideways\n")
+    source.write_text("\n".join(lines) + "\n")
     code = main(["--load", str(source), "normalize", "u"])
     assert code == 2
-    assert "cannot parse" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
+    assert f"error: {source}:{number}: " in err
 
 
 def test_load_rejects_composite_left_side(tmp_path, capsys):

@@ -5,15 +5,17 @@ from fractions import Fraction
 
 import pytest
 
-from hsuperplane.algebra import Element, Presentation, word
+from hsuperplane.algebra import Element, Presentation, RuleError, word
 from hsuperplane.expr import (
     ExprSyntaxError,
     UnknownSymbolError,
     format_element,
     parse_element,
     parse_relation,
+    parse_rule,
     parse_scalar,
 )
+from hsuperplane.presentations import CATALOGUE_NAMES, get_presentation
 from hsuperplane.scalar import I, ONE, Q, ScalarQ, qpow, sc
 
 
@@ -149,6 +151,25 @@ def test_parse_relation_needs_exactly_one_equals_sign(plane):
     assert err.value.position == 7
 
 
+def test_parse_rule_returns_the_left_word(plane):
+    lhs, rhs = parse_rule("x*th = q*th*x + th^2", plane)
+    assert lhs == ("x", "th")
+    assert rhs == Q * word("th", "x") + word("th", "th")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("x*th + th = x", "must be one word"),
+        ("x - x = th", "must be one word"),
+        ("2*x*th = th*x", "must have factor 1"),
+    ],
+)
+def test_parse_rule_needs_one_word_with_factor_one(plane, text, message):
+    with pytest.raises(RuleError, match=message):
+        parse_rule(text, plane)
+
+
 def test_parse_scalar():
     assert parse_scalar("q^2-1") == Q * Q - 1
     assert parse_scalar("(q^2-1)/(q-1)") == Q + 1
@@ -187,9 +208,11 @@ def test_format_orders_by_presentation(plane):
     assert format_element(e, plane) == "1 + dth + th + x"
 
 
-def test_round_trip_random_elements(plane):
+@pytest.mark.parametrize("name", CATALOGUE_NAMES)
+def test_round_trip_random_elements(name):
+    p = get_presentation(name)
     rng = random.Random(77)
-    names = plane.generator_names()
+    names = p.generator_names()
     pool = [
         sc(1), sc(-1), sc(2), sc(Fraction(-3, 2)), I, -I, Q, qpow(-1),
         Q * Q - 1, ONE / (Q - 1), (Q + 1) / (Q * Q + Q + 1), 3 * qpow(-2),
@@ -201,8 +224,8 @@ def test_round_trip_random_elements(plane):
             w = tuple(rng.choice(names) for _ in range(rng.randint(0, 4)))
             terms[w] = rng.choice(pool)
         e = Element(terms)
-        text = format_element(e, plane)
-        assert parse_element(text, plane) == e
+        text = format_element(e, p)
+        assert parse_element(text, p) == e
 
 
 def test_round_trip_through_presentation_show(plane):

@@ -1,9 +1,11 @@
 """Catalogue presentations: consistency solution, confluence, contraction."""
 
 import random
+from collections import Counter
 
 import pytest
 
+from hsuperplane import presentations
 from hsuperplane.algebra import AlgebraError, Element, Presentation, gen, word
 from hsuperplane.presentations import (
     CALCULUS_DERIVATIVES,
@@ -122,6 +124,29 @@ def test_unknown_presentation():
 
 def test_catalogue_is_cached():
     assert get_presentation("h-calculus") is get_presentation("h-calculus")
+
+
+def test_catalogue_builds_each_entry_and_solves_once(monkeypatch):
+    counts = Counter()
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(presentations, "_CACHE", {})
+    monkeypatch.setattr(
+        presentations, "solve_consistency", counted("solve", solve_consistency)
+    )
+    for name, builder in list(presentations._BUILDERS.items()):
+        wrapped = counted(name, builder)
+        monkeypatch.setitem(presentations._BUILDERS, name, wrapped)
+        monkeypatch.setattr(presentations, builder.__name__, wrapped)
+    for name in CATALOGUE_NAMES:
+        get_presentation(name)
+    assert counts == Counter(["solve", *CATALOGUE_NAMES])
 
 
 @pytest.mark.parametrize("name", CATALOGUE_NAMES)
