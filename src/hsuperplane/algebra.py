@@ -16,13 +16,13 @@ is one dict lookup per adjacent pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .scalar import ONE, ScalarQ, GaussianRational, sc
 
-_MINUS_ONE = -ONE
+_MINUS_ONE = sc(-1)
 # rule coefficients equal to +-1 are stored as these shared objects, which
 # rewriting recognises by identity and never multiplies by
 _UNITS = {ONE: ONE, _MINUS_ONE: _MINUS_ONE}
@@ -54,6 +54,25 @@ def _combine(steps, memo: dict) -> dict:
         for w, c2 in memo[child].items():
             _accumulate(terms, w, c2 if c is ONE else c * c2)
     return terms
+
+
+def linear_extension(terms, image_of, memo: dict) -> "Element":
+    """The linear extension of a word function: the sum of c * image_of(w)
+    over the (word, c) pairs of ``terms``.
+
+    ``image_of`` maps one word to an ``Element``.  Each word's image is
+    computed once and kept in ``memo``, a dict from word to image that the
+    caller owns and fills only through this ``image_of``; the images stay
+    for as long as the memo's owner does, with no bound on their number.
+    """
+    out = {}
+    for w, c in terms:
+        image = memo.get(w)
+        if image is None:
+            image = memo[w] = image_of(w)
+        for w2, c2 in image._terms.items():
+            _accumulate(out, w2, c2 if c is ONE else c * c2)
+    return Element._wrap(out)
 
 
 class AlgebraError(Exception):
@@ -102,6 +121,14 @@ class Element:
                 if not coeff.is_zero():
                     data[tuple(word)] = coeff
         object.__setattr__(self, "_terms", data)
+
+    @staticmethod
+    def _wrap(terms: dict) -> "Element":
+        """An element owning ``terms``, whose keys are word tuples and whose
+        values are nonzero ``ScalarQ``s; the checks of ``__init__`` are skipped."""
+        out = object.__new__(Element)
+        object.__setattr__(out, "_terms", terms)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("Element is immutable")
@@ -179,12 +206,12 @@ class Element:
         out = dict(self._terms)
         for w, c in other._terms.items():
             _accumulate(out, w, c)
-        return Element(out)
+        return Element._wrap(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Element({w: -c for w, c in self._terms.items()})
+        return Element._wrap({w: -c for w, c in self._terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -204,7 +231,7 @@ class Element:
         for w1, c1 in self._terms.items():
             for w2, c2 in other._terms.items():
                 _accumulate(out, w1 + w2, c1 * c2)
-        return Element(out)
+        return Element._wrap(out)
 
     def __rmul__(self, other):
         if isinstance(other, (ScalarQ, int, Fraction, GaussianRational)):
@@ -215,7 +242,7 @@ class Element:
         value = _coerce_scalar(value)
         if value.is_zero():
             return Element()
-        return Element({w: c * value for w, c in self._terms.items()})
+        return Element._wrap({w: c * value for w, c in self._terms.items()})
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
@@ -339,6 +366,11 @@ class Presentation:
             rules[lhs] = rhs
         self._rules = rules
         self._nf_cache = {}
+        # linear-extension memos: word -> normal form of its exterior
+        # derivative (filled by differential.exterior_d), and operator ->
+        # {function word -> its action} (filled by act)
+        self.d_memo = {}
+        self._act_memo = {}
         for lhs, rhs in rules.items():
             self._check_lhs_shape(lhs, rhs)
         self._pairs = self._compile_pairs()
@@ -535,13 +567,13 @@ class Presentation:
                 self._check_letters(start_word)
                 if leftmost:
                     terms, spent = self._reduce_leftmost(start_word, memo, spent, budget)
-                    result = self._nf_cache[start_word] = Element(terms)
+                    result = self._nf_cache[start_word] = Element._wrap(terms)
                 else:
                     terms, spent = self._reduce_rightmost(start_word, spent, budget)
-                    result = Element(terms)
-            for w, c in result.items():
-                _accumulate(out, w, c * start_coeff)
-        return Element(out)
+                    result = Element._wrap(terms)
+            for w, c in result._terms.items():
+                _accumulate(out, w, c if start_coeff is ONE else c * start_coeff)
+        return Element._wrap(out)
 
     def _reduce_leftmost(self, start: Word, memo: dict, spent: int, budget: int):
         """Leftmost normal-form terms of ``start`` and the work units spent.
@@ -641,20 +673,32 @@ class Presentation:
 
     def act(self, operator, function) -> Element:
         """Apply an operator to a function: multiply, then drop every term
-        still waiting on a derivative (word ending in a derivative generator)."""
+        still waiting on a derivative (word ending in a derivative generator).
+
+        The action is linear in the function, so it is the linear extension
+        of its value on one function word: the normal form of operator*word
+        minus the terms that end in a derivative.  Those values are kept per
+        operator on the presentation, for as long as it lives.
+        """
         operator = as_element(operator)
-        function = as_element(function)
-        for w in function.words():
-            for g in w:
-                if g in self.derivatives:
-                    raise UnknownGeneratorError(
-                        f"function operand contains derivative generator {g!r}"
-                    )
-        product = self.normal_form(operator * function)
-        kept = {
-            w: c for w, c in product.items() if not (w and w[-1] in self.derivatives)
-        }
-        return Element(kept)
+        memo = self._act_memo.get(operator)
+        if memo is None:
+            memo = self._act_memo[operator] = {}
+        return linear_extension(
+            as_element(function).items(), lambda w: self._act_on_word(operator, w), memo
+        )
+
+    def _act_on_word(self, operator: Element, w: Word) -> Element:
+        for g in w:
+            if g in self.derivatives:
+                raise UnknownGeneratorError(
+                    f"function operand contains derivative generator {g!r}"
+                )
+        product = self.normal_form(operator * Element.word(w))
+        derivatives = self.derivatives
+        return Element._wrap(
+            {v: c for v, c in product._terms.items() if not (v and v[-1] in derivatives)}
+        )
 
     # -- confluence ----------------------------------------------------------
 
@@ -718,22 +762,18 @@ class ConfluenceReport:
         return not self.failures
 
 
-def _map_words(terms, images: Mapping[str, Element], target: Presentation) -> Element:
-    """Normal form in ``target`` of the sum of c * image(g_1) ... image(g_n)
-    over the (word, c) pairs of ``terms``."""
-    total = Element.zero()
-    for w, c in terms:
-        acc = Element.scalar(c)
-        for g in w:
-            try:
-                image = images[g]
-            except KeyError:
-                raise UnknownGeneratorError(
-                    f"no image for {g!r} in the map into {target.name}"
-                ) from None
-            acc = target.multiply(acc, image)
-        total = total + acc
-    return target.normal_form(total)
+def _map_word(w: Word, images: Mapping[str, Element], target: Presentation) -> Element:
+    """Normal form in ``target`` of the product image(g_1) ... image(g_n)."""
+    acc = ONE_ELEMENT
+    for g in w:
+        try:
+            image = images[g]
+        except KeyError:
+            raise UnknownGeneratorError(
+                f"no image for {g!r} in the map into {target.name}"
+            ) from None
+        acc = target.multiply(acc, image)
+    return acc
 
 
 @dataclass(frozen=True)
@@ -741,19 +781,24 @@ class AlgebraMorphism:
     """Algebra map given by generator images, extended multiplicatively.
 
     With ``conjugate_scalars`` set, coefficients are complex-conjugated
-    (q stays fixed), giving an antilinear map.
+    (q stays fixed), giving an antilinear map.  The image of each source
+    word is kept in a memo for as long as the map lives, so ``images``
+    must not change once the map has been called.
     """
 
     source: Presentation
     target: Presentation
     images: Mapping[str, Element]
     conjugate_scalars: bool = False
+    _memo: dict = field(default_factory=dict, init=False, compare=False, hash=False, repr=False)
 
     def __call__(self, element) -> Element:
         terms = as_element(element).items()
         if self.conjugate_scalars:
             terms = ((w, c.conjugate()) for w, c in terms)
-        return _map_words(terms, self.images, self.target)
+        return linear_extension(
+            terms, lambda w: _map_word(w, self.images, self.target), self._memo
+        )
 
 
 @dataclass(frozen=True)
@@ -761,14 +806,19 @@ class InvolutionSpec:
     """Antilinear anti-automorphism: conjugate scalars, reverse words.
 
     No Koszul sign is inserted on reversal: (uv)+ = v+ u+ for all parities.
+    The image of each reversed word is kept in a memo for as long as the
+    star lives, as for ``AlgebraMorphism``.
     """
 
     presentation: Presentation
     images: Mapping[str, Element]
+    _memo: dict = field(default_factory=dict, init=False, compare=False, hash=False, repr=False)
 
     def __call__(self, element) -> Element:
         terms = ((w[::-1], c.conjugate()) for w, c in as_element(element).items())
-        return _map_words(terms, self.images, self.presentation)
+        return linear_extension(
+            terms, lambda w: _map_word(w, self.images, self.presentation), self._memo
+        )
 
     def is_involutive(self) -> bool:
         """Applying the star twice fixes every generator."""

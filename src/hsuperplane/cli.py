@@ -12,7 +12,9 @@ A presentation file passed with --load (lines ``gen <name> <even|odd>``
 and ``rule <lhs> = <element>``) is registered under its file stem and
 becomes the default algebra for ``normalize``.  Its ``rule`` lines are
 read by ``expr.parse_rule``, which also builds every fixed catalogue entry
-from its relation text; a line it rejects is reported as ``path:line``.
+from its relation text; a line it rejects, or whose rule the presentation
+rejects (a bad left side, a duplicate, mixed parities, a right side not
+smaller in the termination order), is reported as ``path:line``.
 A file whose rules are not confluent is rejected: each overlap whose two
 reductions differ is printed with both normal forms, and the command exits 1.
 
@@ -120,7 +122,20 @@ def load_presentation(path: str) -> Presentation:
             relations.append(parse_rule(text, scratch))
         except (ExprSyntaxError, UnknownSymbolError, AlgebraError, DivisionByZero) as err:
             raise AlgebraError(f"{path}:{number}: {err}") from None
-    return Presentation(name, generators, relations)
+    try:
+        return Presentation(name, generators, relations)
+    except AlgebraError as err:
+        failure = err
+    # some checks see the whole rule set, so the line named is that of the
+    # first rule rejected together with the rules above it
+    number = rule_lines[-1][0]
+    for k in range(1, len(relations)):
+        try:
+            Presentation(name, generators, relations[:k])
+        except AlgebraError as err:
+            failure, number = err, rule_lines[k - 1][0]
+            break
+    raise AlgebraError(f"{path}:{number}: {failure}") from None
 
 
 def _report_overlaps(p: Presentation, path: str) -> bool:

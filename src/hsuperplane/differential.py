@@ -12,7 +12,7 @@ import itertools
 import random
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .algebra import AlgebraError, Element, Presentation, gen, word
+from .algebra import AlgebraError, Element, Presentation, gen, linear_extension, word
 from .presentations import get_presentation
 from .reports import VerificationReport
 from .scalar import ONE, sc
@@ -24,13 +24,17 @@ class UnsupportedGeneratorError(AlgebraError):
 
 _D_IMAGES = {"x": "dx", "th": "dth"}
 _D_CONSTANTS = ("dx", "dth", "h")
+_D_LETTERS = frozenset(_D_IMAGES) | frozenset(_D_CONSTANTS)
+# Leibniz signs by prefix parity: the interned constants that rewriting
+# treats as units
+_LEIBNIZ_SIGNS = (ONE, sc(-1))
 _FORM_LETTERS = ("h", "dth", "dx", "th", "x")
 _COORDINATE_LETTERS = ("h", "th", "x")
 
 
-def _check_letters(element: Element, allowed: Iterable[str], what: str) -> None:
+def _check_letters(words: Iterable, allowed: Iterable[str], what: str) -> None:
     allowed = set(allowed)
-    for w in element.words():
+    for w in words:
         for letter in w:
             if letter not in allowed:
                 raise UnsupportedGeneratorError(
@@ -48,21 +52,23 @@ def exterior_d(a: Element, p: Presentation) -> Element:
 
     d(g_1 ... g_n) is the sum over positions k of the word with g_k
     replaced by its image, signed by the parity of the prefix before k.
+    d is linear, so it is the linear extension of its value on one word;
+    the normal form of each word's d is kept in ``p.d_memo`` for as long
+    as the presentation lives.
     """
-    _check_letters(a, _D_IMAGES.keys() | set(_D_CONSTANTS), "a form argument")
-    parities = {g.name: g.parity for g in p.generators}
-    result = Element.zero()
-    for w, coeff in a.items():
-        prefix_parity = 0
-        for k, letter in enumerate(w):
-            image = _D_IMAGES.get(letter)
-            if image is not None:
-                sign = sc((-1) ** prefix_parity)
-                result = result + Element.word(
-                    w[:k] + (image,) + w[k + 1 :], coeff * sign
-                )
-            prefix_parity = (prefix_parity + parities[letter]) % 2
-    return p.normal_form(result)
+    return linear_extension(a.items(), lambda w: _d_of_word(w, p), p.d_memo)
+
+
+def _d_of_word(w: tuple, p: Presentation) -> Element:
+    _check_letters((w,), _D_LETTERS, "a form argument")
+    terms = {}
+    prefix_parity = 0
+    for k, letter in enumerate(w):
+        image = _D_IMAGES.get(letter)
+        if image is not None:
+            terms[w[:k] + (image,) + w[k + 1 :]] = _LEIBNIZ_SIGNS[prefix_parity]
+        prefix_parity ^= p.generator(letter).parity
+    return p.normal_form(Element(terms))
 
 
 def monomial_basis(
@@ -72,8 +78,9 @@ def monomial_basis(
     basis = [Element.scalar(1)]
     for degree in range(1, max_degree + 1):
         for w in itertools.product(letters, repeat=degree):
-            if p.is_normal(Element.word(w, ONE)):
-                basis.append(Element.word(w, ONE))
+            monomial = Element.word(w)
+            if p.is_normal(monomial):
+                basis.append(monomial)
     return basis
 
 
@@ -218,7 +225,7 @@ def curl(w1: Element, w2: Element, p: Presentation) -> Element:
     be the dx*dth component of the exterior derivative of the form.
     """
     for component in (w1, w2):
-        _check_letters(component, _COORDINATE_LETTERS, "a curl component")
+        _check_letters(component.words(), _COORDINATE_LETTERS, "a curl component")
     rule = p.rules.get(("dx", "dth"))
     if rule is None:
         lam = ONE

@@ -13,6 +13,8 @@ integral and a ``Fraction`` only otherwise; division goes through
 needs no polynomial gcd when its denominator is 1 or a monomial c*q^k: the
 gcd is then a power of q, removed by shifting coefficients.  Only a
 denominator with two or more terms, such as q-1, runs Euclid's algorithm.
+Small integers, -16 to 16, coerce to shared constants (``ONE`` among them),
+so ``sc(k)`` allocates nothing for them.
 """
 
 from __future__ import annotations
@@ -207,6 +209,11 @@ class PolyQ:
     def __mul__(self, other: "PolyQ") -> "PolyQ":
         if self.is_zero() or other.is_zero():
             return PolyQ()
+        # most products in practice have a constant operand
+        if len(other.coeffs) == 1:
+            return self.scale(other.coeffs[0])
+        if len(self.coeffs) == 1:
+            return other.scale(self.coeffs[0])
         out = [_G_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
         for j, a in enumerate(self.coeffs):
             if a.is_zero():
@@ -359,6 +366,10 @@ class ScalarQ:
     def _coerce(value) -> "ScalarQ":
         if isinstance(value, ScalarQ):
             return value
+        if type(value) is int:
+            interned = _SMALL_INTS.get(value)
+            if interned is not None:
+                return interned
         if isinstance(value, (int, Fraction, GaussianRational)):
             return ScalarQ(value)
         return NotImplemented
@@ -393,6 +404,10 @@ class ScalarQ:
         return -self + other
 
     def __mul__(self, other):
+        if other is ONE:
+            return self
+        if self is ONE:
+            return self._coerce(other)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -496,8 +511,10 @@ class ScalarQ:
         return f"{body}*{qpart}"
 
 
-ZERO = ScalarQ(0)
-ONE = ScalarQ(1)
+# small integers coerce to these shared constants, so ``sc(k)`` builds nothing
+_SMALL_INTS = {k: ScalarQ(k) for k in range(-16, 17)}
+ZERO = _SMALL_INTS[0]
+ONE = _SMALL_INTS[1]
 I = ScalarQ(GaussianRational(0, 1))
 Q = ScalarQ(PolyQ.variable())
 

@@ -434,3 +434,63 @@ def test_involution_involutive_check(plane):
     bad_images = dict(images)
     bad_images["x"] = 2 * word("x")
     assert not InvolutionSpec(plane, bad_images).is_involutive()
+
+
+# -- memos of the linear extensions ------------------------------------------------
+
+
+def test_act_keeps_one_memo_per_operator():
+    p = Presentation(
+        "ops",
+        [("x", 0), ("px", 0)],
+        [(("px", "x"), Element.scalar(1) + word("x", "px"))],
+        derivatives=("px",),
+    )
+    xx = word("x", "x")
+    assert p.act(word("px"), xx) == 2 * word("x")
+    assert p.act(word("px", "px"), xx) == Element.scalar(2)
+    assert p.act(3 * word("px"), xx) == 6 * word("x")
+    assert p.act(Element.scalar(5), xx) == 5 * xx
+    assert p.act(word("px"), xx) == 2 * word("x")
+
+
+class _HashableImages(dict):
+    def __hash__(self):
+        return hash(frozenset(self.items()))
+
+
+def test_morphisms_with_equal_images_stay_equal_after_a_call(plane):
+    images = {g.name: Element.generator(g.name) for g in plane.generators}
+    images["x"] = 2 * word("x")
+    f = AlgebraMorphism(plane, plane, _HashableImages(images))
+    g = AlgebraMorphism(plane, plane, _HashableImages(images))
+    assert f(word("x", "th")) == 2 * Q * word("th", "x")
+    assert f == g
+    assert hash(f) == hash(g)
+    assert "memo" not in repr(f)
+    star = InvolutionSpec(plane, _HashableImages(images))
+    star(word("th", "x"))
+    assert star == InvolutionSpec(plane, _HashableImages(images))
+
+
+def test_maps_agree_warm_and_fresh(plane):
+    images = {g.name: Element.generator(g.name) for g in plane.generators}
+    images["x"] = 2 * word("x") + word("dth")
+    rng = random.Random(23)
+    names = plane.generator_names()
+    samples = [
+        Element.word(tuple(rng.choice(names) for _ in range(rng.randint(0, 3))))
+        for _ in range(20)
+    ]
+    for conjugate in (False, True):
+        warm = AlgebraMorphism(plane, plane, images, conjugate_scalars=conjugate)
+        for s in samples:
+            warm((3 + I) * s + Q * word("x", "x"))
+        for s in samples:
+            fresh = AlgebraMorphism(plane, plane, images, conjugate_scalars=conjugate)
+            assert warm(I * s) == fresh(I * s)
+    warm_star = InvolutionSpec(plane, images)
+    for s in samples:
+        warm_star((2 - I) * s)
+    for s in samples:
+        assert warm_star(Q * s) == InvolutionSpec(plane, images)(Q * s)

@@ -235,8 +235,25 @@ def test_load_rejects_non_confluent_rules(tmp_path, capsys):
         (["gen u even", "gen v odd", "rule v*u = 2*u*$"], 3, "unexpected character '$'"),
         (["gen u even", "gen v odd", "rule v*u = w"], 3, "unknown symbol 'w'"),
         (["gen u even", "rule u*u = (q - q)^-1*u"], 2, "zero scalar to a negative power"),
+        (["gen u even", "gen v odd", "rule u = u*u"], 3, "rule lhs must have length 2"),
+        (["gen u even", "rule u*u = 2*u", "rule u*u = 3*u"], 3, "duplicate rule"),
+        (["gen u even", "gen v odd", "rule v*u = u*v + u"], 3, "mixes parities"),
+        (
+            ["gen u even", "gen a odd", "gen b odd", "rule b*a = a*b", "rule u*u = a*b"],
+            5,
+            "not smaller in the termination order",
+        ),
     ],
-    ids=["gen", "rule-syntax", "rule-symbol", "rule-zero-power"],
+    ids=[
+        "gen",
+        "rule-syntax",
+        "rule-symbol",
+        "rule-zero-power",
+        "rule-shape",
+        "rule-duplicate",
+        "rule-parity",
+        "rule-order",
+    ],
 )
 def test_load_rejects_malformed_lines(tmp_path, capsys, lines, number, message):
     source = tmp_path / "bad.alg"

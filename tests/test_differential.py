@@ -18,7 +18,7 @@ from hsuperplane.differential import (
     operator_report,
     random_form,
 )
-from hsuperplane.presentations import get_presentation
+from hsuperplane.presentations import build_h_calculus, get_presentation
 from hsuperplane.scalar import ONE, Q, sc
 
 
@@ -193,3 +193,19 @@ def test_dsquared_report():
     assert report.passed
     assert len(report.entries) == 4
     assert report.entries[0].data["samples"] == 202
+
+
+def test_d_and_act_agree_warm_and_fresh():
+    warm = build_h_calculus()
+    rng = random.Random(31)
+    samples = [random_form(rng, warm, 4) for _ in range(20)]
+    d = d_operator()
+    for s in samples:
+        exterior_d(3 * s + word("x", "th"), warm)
+        warm.act(d, -2 * s)
+        warm.act(gen("px"), 5 * s)
+    for s in samples:
+        fresh = build_h_calculus()
+        assert exterior_d(s, warm) == exterior_d(s, fresh)
+        assert warm.act(d, s) == fresh.act(d, s)
+        assert warm.act(gen("pth"), s) == fresh.act(gen("pth"), s)

@@ -10,9 +10,13 @@
   only there.
 * ``algebra.py``, the generic rewriting layer, names no generator: it has
   no string constant ``"h"``.
+* Every engine name that ``perfbench/tracing.py`` wraps in a span (its
+  ``SPANS`` table and the suite functions of ``SUITE_FUNCTIONS``) still
+  exists, so a rename cannot silently drop a traced metric.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -87,3 +91,28 @@ def test_algebra_names_no_generator():
         if isinstance(node, ast.Constant) and node.value == "h"
     ]
     assert named == []
+
+
+def _tracing_table(name: str):
+    """The literal value assigned to ``name`` in perfbench/tracing.py; for
+    ``SPANS``, the literal tuple before its generated suite entries."""
+    for node in _tree(ROOT / "perfbench" / "tracing.py").body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == name for t in node.targets
+        ):
+            value = node.value.left if isinstance(node.value, ast.BinOp) else node.value
+            return ast.literal_eval(value)
+    raise AssertionError(f"perfbench/tracing.py assigns no {name}")
+
+
+def test_traced_names_exist():
+    spans = [(module, owner, attr) for module, owner, attr, _ in _tracing_table("SPANS")]
+    spans += [(module, None, fn) for module, fn in _tracing_table("SUITE_FUNCTIONS").values()]
+    missing = []
+    for module_name, owner, attr in spans:
+        module = importlib.import_module(f"hsuperplane.{module_name}")
+        scope = vars(module) if owner is None else vars(getattr(module, owner, object))
+        if attr not in scope:
+            missing.append(".".join(n for n in (module_name, owner, attr) if n))
+    assert len(spans) > 20
+    assert missing == []

@@ -255,3 +255,15 @@ def test_constants_hash_like_numbers():
     assert hash(I) == hash(GaussianRational(0, 1))
     assert {Element.scalar(1): "x"}[1] == "x"
     assert hash(Element()) == hash(ZERO) == hash(0)
+
+
+def test_small_int_constants_are_interned():
+    assert sc(5) is sc(5)
+    assert sc(1) is ONE and sc(0) is ZERO
+    assert sc(True) == ONE
+    for k in (-16, -3, 0, 1, 5, 16, 17, 1000):
+        assert sc(k) == ScalarQ(k) == k
+        assert hash(sc(k)) == hash(ScalarQ(k)) == hash(k)
+    assert sc(5) + sc(5) == 10
+    assert sc(5) * sc(-3) == -15
+    assert Element.word(("x",), 5).coefficient(("x",)) is sc(5)
