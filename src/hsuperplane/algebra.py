@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .scalar import ONE, ScalarQ, GaussianRational, sc
+from .scalar import ONE, ZERO, ScalarQ, GaussianRational, sc
 
 _MINUS_ONE = sc(-1)
 # rule coefficients equal to +-1 are stored as these shared objects, which
@@ -156,7 +156,7 @@ class Element:
         return self._terms.keys()
 
     def coefficient(self, word: Iterable[str]) -> ScalarQ:
-        return self._terms.get(tuple(word), ScalarQ(0))
+        return self._terms.get(tuple(word), ZERO)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -165,7 +165,7 @@ class Element:
         return not self._terms or set(self._terms) == {()}
 
     def scalar_part(self) -> ScalarQ:
-        return self._terms.get((), ScalarQ(0))
+        return self._terms.get((), ZERO)
 
     def term_count(self) -> int:
         return len(self._terms)

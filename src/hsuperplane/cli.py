@@ -102,6 +102,7 @@ def run_suite(name: str) -> VerificationReport:
 def load_presentation(path: str) -> Presentation:
     """Read a presentation file: ``gen`` lines first, then ``rule`` lines."""
     generators = []
+    gen_numbers = []
     rule_lines = []
     for number, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.strip()
@@ -110,30 +111,44 @@ def load_presentation(path: str) -> Presentation:
         parts = line.split(None, 2)
         if parts[0] == "gen" and len(parts) == 3 and parts[2] in ("even", "odd"):
             generators.append((parts[1], 0 if parts[2] == "even" else 1))
+            gen_numbers.append(number)
         elif parts[0] == "rule" and "=" in line:
             rule_lines.append((number, line[len("rule") :]))
         else:
             raise AlgebraError(f"{path}:{number}: cannot parse {line!r}")
     name = Path(path).stem
-    scratch = Presentation(name, generators, [])
+    scratch = _build_numbered(
+        path, gen_numbers, lambda k: Presentation(name, generators[:k], [])
+    )
     relations = []
     for number, text in rule_lines:
         try:
             relations.append(parse_rule(text, scratch))
         except (ExprSyntaxError, UnknownSymbolError, AlgebraError, DivisionByZero) as err:
             raise AlgebraError(f"{path}:{number}: {err}") from None
+    return _build_numbered(
+        path,
+        [number for number, _ in rule_lines],
+        lambda k: Presentation(name, generators, relations[:k]),
+    )
+
+
+def _build_numbered(path: str, numbers: list, build) -> Presentation:
+    """``build(len(numbers))``, the presentation from every numbered line.
+
+    Some checks see the whole set, so on failure the line named is that of
+    the first item rejected together with the items above it.
+    """
     try:
-        return Presentation(name, generators, relations)
+        return build(len(numbers))
     except AlgebraError as err:
         failure = err
-    # some checks see the whole rule set, so the line named is that of the
-    # first rule rejected together with the rules above it
-    number = rule_lines[-1][0]
-    for k in range(1, len(relations)):
+    number = numbers[-1]
+    for k in range(1, len(numbers)):
         try:
-            Presentation(name, generators, relations[:k])
+            build(k)
         except AlgebraError as err:
-            failure, number = err, rule_lines[k - 1][0]
+            failure, number = err, numbers[k - 1]
             break
     raise AlgebraError(f"{path}:{number}: {failure}") from None
 

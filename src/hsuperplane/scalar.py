@@ -13,8 +13,17 @@ integral and a ``Fraction`` only otherwise; division goes through
 needs no polynomial gcd when its denominator is 1 or a monomial c*q^k: the
 gcd is then a power of q, removed by shifting coefficients.  Only a
 denominator with two or more terms, such as q-1, runs Euclid's algorithm.
-Small integers, -16 to 16, coerce to shared constants (``ONE`` among them),
-so ``sc(k)`` allocates nothing for them.
+
+Most scalars met in practice are Laurent monomials c*q^k (k any integer),
+and those take exponent arithmetic, never a convolution or Euclid: a
+product of two is (c1*c2)*q^(k1+k2), built directly in canonical form; a
+monomial times a general N/D scales N and cancels only the power of q it
+can share with D or N, since N and D are coprime; division by a monomial
+multiplies by its inverse; sums of two monomials with the same exponent,
+negations and ``qpow`` go through the same constructor.  Every path keeps
+the canonical invariant.  Small integers, -16 to 16, are shared constants
+(``ZERO`` and ``ONE`` among them): ``sc(k)`` allocates nothing for them,
+and an arithmetic result equal to one of them is that constant.
 """
 
 from __future__ import annotations
@@ -35,9 +44,7 @@ _RationalLike = Union[int, Fraction]
 
 
 def _rational(x: _RationalLike) -> _RationalLike:
-    """``x`` as an ``int`` when it is integral, else as a ``Fraction``."""
-    if type(x) is int:
-        return x
+    """A non-``int`` ``x`` as an ``int`` when it is integral, else as a ``Fraction``."""
     if type(x) is not Fraction:
         x = Fraction(x)
     return x.numerator if x.denominator == 1 else x
@@ -53,8 +60,8 @@ class GaussianRational:
     __slots__ = ("re", "im")
 
     def __init__(self, re: _RationalLike = 0, im: _RationalLike = 0):
-        object.__setattr__(self, "re", _rational(re))
-        object.__setattr__(self, "im", _rational(im))
+        object.__setattr__(self, "re", re if type(re) is int else _rational(re))
+        object.__setattr__(self, "im", im if type(im) is int else _rational(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
@@ -160,6 +167,13 @@ class PolyQ:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
 
+    @staticmethod
+    def _canonical(coeffs: tuple) -> "PolyQ":
+        """Wrap a tuple of GaussianRationals with no trailing zero, unchecked."""
+        out = object.__new__(PolyQ)
+        object.__setattr__(out, "coeffs", coeffs)
+        return out
+
     def __setattr__(self, name, value):
         raise AttributeError("PolyQ is immutable")
 
@@ -209,7 +223,7 @@ class PolyQ:
     def __mul__(self, other: "PolyQ") -> "PolyQ":
         if self.is_zero() or other.is_zero():
             return PolyQ()
-        # most products in practice have a constant operand
+        # a constant operand, such as a denominator 1, needs no convolution
         if len(other.coeffs) == 1:
             return self.scale(other.coeffs[0])
         if len(self.coeffs) == 1:
@@ -370,28 +384,63 @@ class ScalarQ:
             interned = _SMALL_INTS.get(value)
             if interned is not None:
                 return interned
-        if isinstance(value, (int, Fraction, GaussianRational)):
-            return ScalarQ(value)
+        if isinstance(value, (int, Fraction)):
+            value = GaussianRational(value)
+        if isinstance(value, GaussianRational):
+            return _laurent(value, 0)
         return NotImplemented
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return not self.num.coeffs
 
-    def is_one(self) -> bool:
-        c = self.num.coeffs  # canonical: a degree-0 denominator is 1
-        return len(c) == 1 and c[0].re == 1 and not c[0].im and self.den.degree == 0
+    def _monomial(self):
+        """``(c, k)`` when this scalar is c*q^k (c nonzero), else None."""
+        num, den = self.num.coeffs, self.den.coeffs
+        if len(den) == 1:  # canonical: a degree-0 denominator is 1
+            if num and not any(num[:-1]):
+                return num[-1], len(num) - 1
+        elif len(num) == 1 and not any(den[:-1]):
+            return num[0], 1 - len(den)
+        return None
+
+    def _times_monomial(self, c: GaussianRational, k: int) -> "ScalarQ":
+        """This nonzero, non-monomial N/D times c*q^k.
+
+        N and D are coprime, so only a power of q can cancel: the one that
+        q^k shares with D (k > 0) or that N shares with q^-k (k < 0).
+        """
+        num, den = tuple(a * c for a in self.num.coeffs), self.den.coeffs
+        if k > 0:
+            shift = min(k, _low_degree(den))
+            num, den = (_G_ZERO,) * (k - shift) + num, den[shift:]
+        elif k < 0:
+            shift = min(-k, _low_degree(num))
+            num, den = num[shift:], (_G_ZERO,) * (-k - shift) + den
+        return ScalarQ._canonical(PolyQ._canonical(num), PolyQ._canonical(den))
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.den.degree == other.den.degree == 0:  # canonical: both are 1
-            return ScalarQ._canonical(self.num + other.num, _P_ONE)
-        return ScalarQ(self.num * other.den + other.num * self.den, self.den * other.den)
+        a, b = self._monomial(), other._monomial()
+        if a is not None and b is not None and a[1] == b[1]:
+            return _laurent(a[0] + b[0], a[1])
+        if other.is_zero():
+            return self
+        if self.is_zero():
+            return other
+        if self.den == other.den:
+            return _reduced(self.num + other.num, self.den)
+        return _reduced(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
 
     def __neg__(self):
+        m = self._monomial()
+        if m is not None:
+            return _laurent(-m[0], m[1])
+        if self.is_zero():
+            return ZERO
         return ScalarQ._canonical(-self.num, self.den)
 
     def __sub__(self, other):
@@ -411,13 +460,7 @@ class ScalarQ:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.den.degree == other.den.degree == 0:  # canonical: both are 1
-            if self.is_one():
-                return other
-            if other.is_one():
-                return self
-            return ScalarQ._canonical(self.num * other.num, _P_ONE)
-        return ScalarQ(self.num * other.num, self.den * other.den)
+        return _product(self, other)
 
     __rmul__ = __mul__
 
@@ -427,7 +470,10 @@ class ScalarQ:
             return NotImplemented
         if other.is_zero():
             raise DivisionByZero("scalar division by zero")
-        return ScalarQ(self.num * other.den, self.den * other.num)
+        m = other._monomial()
+        if m is not None:
+            return _product(self, _laurent(_G_ONE / m[0], -m[1]))
+        return _reduced(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other):
         return self._coerce(other) / self
@@ -451,7 +497,7 @@ class ScalarQ:
 
     def conjugate(self) -> "ScalarQ":
         """Complex conjugation; the deformation parameter q is treated as real."""
-        return ScalarQ(self.num.conjugate(), self.den.conjugate())
+        return _reduced(self.num.conjugate(), self.den.conjugate())
 
     def limit_at_one(self) -> GaussianRational:
         """Value at q = 1; a zero denominator here is a genuine pole."""
@@ -489,17 +535,11 @@ class ScalarQ:
         return f"{num_str}/({self.den})"
 
     def _monomial_str(self):
-        # c*q^m over q^k prints as a single power c*q^(m-k).
-        if any(not c.is_zero() for c in self.den.coeffs[:-1]):
+        # c over q^k prints as a single power c*q^-k.
+        mono = self._monomial()
+        if mono is None:
             return None
-        nonzero = [k for k, c in enumerate(self.num.coeffs) if not c.is_zero()]
-        if len(nonzero) != 1:
-            return None
-        m = nonzero[0]
-        c = self.num.coeffs[m]
-        power = m - self.den.degree
-        if power == 0:
-            return str(c)
+        c, power = mono
         body = str(c)
         if c.im and c.re:
             body = f"({body})"
@@ -509,6 +549,53 @@ class ScalarQ:
         if body == "-1":
             return f"-{qpart}"
         return f"{body}*{qpart}"
+
+
+def _low_degree(coeffs: tuple) -> int:
+    """Index of the first nonzero coefficient."""
+    return next(j for j, c in enumerate(coeffs) if c)
+
+
+def _laurent(c: GaussianRational, k: int) -> ScalarQ:
+    """Canonical c*q^k: (0,)*k + (c,) over 1, or (c,) over q^-k.
+
+    Zero is ``ZERO`` and a small integer is its shared constant.
+    """
+    if not c:
+        return ZERO
+    if k > 0:
+        return ScalarQ._canonical(PolyQ._canonical((_G_ZERO,) * k + (c,)), _P_ONE)
+    if k < 0:
+        return ScalarQ._canonical(
+            PolyQ._canonical((c,)), PolyQ._canonical((_G_ZERO,) * -k + (_G_ONE,))
+        )
+    if not c.im and type(c.re) is int:
+        interned = _SMALL_INTS.get(c.re)
+        if interned is not None:
+            return interned
+    return ScalarQ._canonical(PolyQ._canonical((c,)), _P_ONE)
+
+
+def _product(a: ScalarQ, b: ScalarQ) -> ScalarQ:
+    """a*b: exponent arithmetic when an operand is c*q^k, else the reduction."""
+    if not a.num.coeffs or not b.num.coeffs:
+        return ZERO
+    ma, mb = a._monomial(), b._monomial()
+    if ma is not None:
+        if mb is not None:
+            return _laurent(ma[0] * mb[0], ma[1] + mb[1])
+        return b._times_monomial(*ma)
+    if mb is not None:
+        return a._times_monomial(*mb)
+    return _reduced(a.num * b.num, a.den * b.den)
+
+
+def _reduced(num: PolyQ, den: PolyQ) -> ScalarQ:
+    """The general reduction of num/den, with a constant result shared."""
+    out = ScalarQ(num, den)
+    if out.den.degree == 0 and out.num.degree <= 0:
+        return _laurent(out.num.lead, 0)
+    return out
 
 
 # small integers coerce to these shared constants, so ``sc(k)`` builds nothing
@@ -529,4 +616,4 @@ def sc(value) -> ScalarQ:
 
 def qpow(k: int) -> ScalarQ:
     """The scalar q**k (k may be negative)."""
-    return Q ** k
+    return _laurent(_G_ONE, k)

@@ -243,6 +243,8 @@ def test_load_rejects_non_confluent_rules(tmp_path, capsys):
             5,
             "not smaller in the termination order",
         ),
+        (["gen u even", "gen u odd"], 2, "duplicate generator name"),
+        (["gen q even"], 1, "bad generator name 'q'"),
     ],
     ids=[
         "gen",
@@ -253,6 +255,8 @@ def test_load_rejects_non_confluent_rules(tmp_path, capsys):
         "rule-duplicate",
         "rule-parity",
         "rule-order",
+        "gen-duplicate",
+        "gen-reserved",
     ],
 )
 def test_load_rejects_malformed_lines(tmp_path, capsys, lines, number, message):

@@ -1,10 +1,12 @@
 """Exterior derivative: nilpotency, Leibniz, operator identities, curl."""
 
+import itertools
 import random
 
 import pytest
 
-from hsuperplane.algebra import AlgebraError, Element, gen, word
+from hsuperplane import differential
+from hsuperplane.algebra import AlgebraError, Element, UnknownGeneratorError, gen, word
 from hsuperplane.differential import (
     UnsupportedGeneratorError,
     check_d_squared,
@@ -18,7 +20,7 @@ from hsuperplane.differential import (
     operator_report,
     random_form,
 )
-from hsuperplane.presentations import build_h_calculus, get_presentation
+from hsuperplane.presentations import CATALOGUE_NAMES, build_h_calculus, get_presentation
 from hsuperplane.scalar import ONE, Q, sc
 
 
@@ -85,6 +87,36 @@ def test_monomial_basis_counts():
     assert len(monomial_basis(HC, 4)) == 66
     assert len(monomial_basis(HC, 5)) == 102
     assert Element.scalar(1) in monomial_basis(HC, 1)
+
+
+def brute_force_basis(p, max_degree, letters):
+    """Every word of every degree, kept when it is normal."""
+    basis = [Element.scalar(1)]
+    for degree in range(1, max_degree + 1):
+        for w in itertools.product(letters, repeat=degree):
+            if p.is_normal(Element.word(w)):
+                basis.append(Element.word(w))
+    return basis
+
+
+@pytest.mark.parametrize("p", [QH, HC], ids=["qh-calculus", "h-calculus"])
+def test_monomial_basis_matches_brute_force_on_the_calculi(p):
+    letters = ("h", "dth", "dx", "th", "x")  # the default letters
+    for degree in range(6):
+        assert monomial_basis(p, degree) == brute_force_basis(p, degree, letters)
+
+
+@pytest.mark.parametrize("name", CATALOGUE_NAMES)
+def test_monomial_basis_matches_brute_force_on_the_catalogue(name):
+    p = get_presentation(name)
+    letters = tuple(g.name for g in p.generators)
+    assert monomial_basis(p, 3, letters) == brute_force_basis(p, 3, letters)
+
+
+def test_monomial_basis_rejects_an_unknown_letter():
+    for letters in (("x", "zz"), ("zz", "x")):
+        with pytest.raises(UnknownGeneratorError):
+            monomial_basis(HC, 2, letters)
 
 
 def test_d_squared_on_basis_both_levels():
@@ -193,6 +225,34 @@ def test_dsquared_report():
     assert report.passed
     assert len(report.entries) == 4
     assert report.entries[0].data["samples"] == 202
+
+
+def test_dsquared_report_prints_the_first_failure_as_the_checks_do(monkeypatch):
+    # a wrong d: right on short words, off by the identity on longer ones
+    right = differential.exterior_d
+
+    def wrong_d(a, p):
+        longest = max((len(w) for w in a.words()), default=0)
+        return right(a, p) + (a if longest >= 3 else Element.zero())
+
+    monkeypatch.setattr(differential, "exterior_d", wrong_d)
+    report = dsquared_report()
+    rng = random.Random(2024)  # the report's default seed, drawn in its order
+    expected = []
+    for name in ("qh-calculus", "h-calculus"):
+        p = get_presentation(name)
+        samples = monomial_basis(p, 5) + [random_form(rng, p, 5) for _ in range(100)]
+        expected.append(str(check_d_squared(samples, p).failures()[0]))
+        pairs = []
+        while len(pairs) < 100:
+            f = random_form(rng, p, 4, parity=rng.choice((0, 1)))
+            g = random_form(rng, p, 4)
+            if not f.is_zero():
+                pairs.append((f, g))
+        expected.append(str(check_leibniz(pairs, p).failures()[0]))
+    assert [entry.normal_form for entry in report.entries] == expected
+    assert not any(entry.passed for entry in report.entries)
+    assert not expected[0].startswith("[FAIL] d^2(1) = 0")  # not the first sample
 
 
 def test_d_and_act_agree_warm_and_fresh():

@@ -267,3 +267,5 @@ def test_small_int_constants_are_interned():
     assert sc(5) + sc(5) == 10
     assert sc(5) * sc(-3) == -15
     assert Element.word(("x",), 5).coefficient(("x",)) is sc(5)
+    assert Element.word(("x",), 5).coefficient(("y",)) is ZERO
+    assert Element.word(("x",), 5).scalar_part() is ZERO

@@ -15,7 +15,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsuperplane.scalar import GaussianRational, PolyQ, ScalarQ, qpow, sc
+from hsuperplane.scalar import ONE, Q, ZERO, GaussianRational, PolyQ, ScalarQ, qpow, sc
 
 # derandomized, so the tier-1 run is deterministic; no example database on disk
 ORACLE = settings(derandomize=True, database=None, deadline=None, max_examples=150)
@@ -102,8 +102,29 @@ def assert_canonical(s):
         for c in p.coeffs:
             for part in (c.re, c.im):
                 assert type(part) is (int if Fraction(part).denominator == 1 else Fraction)
+        assert not p.coeffs or not p.coeffs[-1].is_zero()  # no trailing zero
     assert s.den.lead == GaussianRational(1)
     assert sym_poly(s.num).gcd(sym_poly(s.den)).degree() <= 0
+    if not any(s.num.coeffs):
+        assert s.num.coeffs == () and s.den.coeffs == (GaussianRational(1),)
+    # the general reduction gives back the same structure
+    reduced = ScalarQ(s.num, s.den)
+    assert repr(reduced) == repr(s)
+    assert reduced == s and hash(reduced) == hash(s)
+
+
+def assert_shared_if_small_int(s, *operands):
+    """A result equal to an int in -16..16 is that int's shared constant.
+
+    An operation may return an operand as it is (a*1, a+0); an operand
+    built by ``ScalarQ(num, den)`` is a fresh object, shared or not.
+    """
+    if any(s is operand for operand in operands):
+        return
+    if s.den.degree == 0 and s.num.degree <= 0:
+        value = s.num.lead
+        if not value.im and type(value.re) is int and -16 <= value.re <= 16:
+            assert s is sc(value.re)
 
 
 # -- tests -------------------------------------------------------------------------------
@@ -125,6 +146,71 @@ def test_binary_ops_match_sympy(name, a, b):
     result = op(a, b)
     assert_canonical(result)
     assert_matches_sympy(result, sym_op(sym_scalar(a), sym_scalar(b)))
+    assert_shared_if_small_int(result, a, b)
+
+
+@ORACLE
+@given(a=scalars)
+def test_negation_matches_sympy(a):
+    result = -a
+    assert_canonical(result)
+    num, den = sym_scalar(a)
+    assert_matches_sympy(result, (-num, den))
+    assert_shared_if_small_int(result, a)
+
+
+# -- Laurent monomials c*q^k: the exponent-arithmetic paths -------------------------
+
+nonzero_gaussians = gaussians.filter(lambda c: not c.is_zero())
+
+
+@pytest.mark.parametrize("k", range(-3, 4))
+def test_zero_times_monomial_is_zero(k):
+    m = sc(GaussianRational(Fraction(-3, 2), 2)) * qpow(k)
+    for result in (ZERO * m, m * ZERO, sc(0) * m, m * 0, m - m, m + (-m)):
+        assert_canonical(result)
+        assert result is ZERO
+
+
+@ORACLE
+@given(c=nonzero_gaussians, k=st.integers(-5, 5))
+def test_monomial_times_its_inverse_is_one(c, k):
+    m = sc(c) * qpow(k)
+    inverse = sc(GaussianRational(1) / c) * qpow(-k)
+    assert_canonical(m)
+    assert_canonical(inverse)
+    assert m * inverse is ONE
+    assert inverse * m is ONE
+    assert m / m is ONE
+
+
+@ORACLE
+@given(
+    c=nonzero_gaussians,
+    k=st.integers(-4, 4),
+    num=polys.filter(lambda p: not p.is_zero()),
+    den=polys.filter(lambda p: not p.is_zero()),
+    power=st.integers(1, 3),
+    side=st.sampled_from(("num", "den")),
+)
+def test_monomial_times_quotient_cancels_powers_of_q(c, k, num, den, power, side):
+    """q^power divides N or D, so c*q^k * N/D may cancel against it."""
+    qp = PolyQ([0] * power + [1])
+    s = ScalarQ(num * qp, den) if side == "num" else ScalarQ(num, den * qp)
+    m = sc(c) * qpow(k)
+    expected = OPS["mul"][1](sym_scalar(m), sym_scalar(s))
+    for result in (m * s, s * m, s / (ONE / m)):
+        assert_canonical(result)
+        assert_matches_sympy(result, expected)
+        assert_shared_if_small_int(result, m, s)
+
+
+@pytest.mark.parametrize("k", range(-5, 6))
+def test_qpow_is_q_to_the_k(k):
+    power = Q**k
+    assert_canonical(qpow(k))
+    assert repr(qpow(k)) == repr(power)
+    assert qpow(k) == power and hash(qpow(k)) == hash(power)
 
 
 @ORACLE
@@ -132,5 +218,6 @@ def test_binary_ops_match_sympy(name, a, b):
 def test_power_matches_sympy(a, k):
     result = a**k
     assert_canonical(result)
+    assert_shared_if_small_int(result, a)
     num, den = sym_scalar(a)
     assert_matches_sympy(result, (num**k, den**k) if k >= 0 else (den**-k, num**-k))
