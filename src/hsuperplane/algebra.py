@@ -31,7 +31,8 @@ Word = tuple  # tuple[str, ...]
 
 _RESERVED_NAMES = frozenset({"q", "i", "d"})
 
-# memo mark of a word whose reduction has started but not finished
+# product-table mark of a (word, letter) pair whose rewriting has started but
+# not finished
 _PENDING = object()
 
 
@@ -43,17 +44,6 @@ def _accumulate(terms: dict, word: Word, coeff: ScalarQ) -> None:
         terms.pop(word, None)
     else:
         terms[word] = acc
-
-
-def _combine(steps, memo: dict) -> dict:
-    """Terms of the sum of c * memo[child] over the (child, c) of a rewrite."""
-    if len(steps) == 1 and steps[0][1] is ONE:
-        return memo[steps[0][0]]
-    terms = {}
-    for child, c in steps:
-        for w, c2 in memo[child].items():
-            _accumulate(terms, w, c2 if c is ONE else c * c2)
-    return terms
 
 
 def linear_extension(terms, image_of, memo: dict) -> "Element":
@@ -326,6 +316,9 @@ class Presentation:
     """
 
     DEFAULT_MAX_STEPS = 5_000_000
+    # a normal_form call that starts with more (word, letter) products than
+    # this in the product table clears the table first
+    PRODUCT_TABLE_CAP = 512
 
     def __init__(
         self,
@@ -366,6 +359,10 @@ class Presentation:
             rules[lhs] = rhs
         self._rules = rules
         self._nf_cache = {}
+        # product table: (normal word v, letter g) -> the normal form of v*g
+        # as (word, coefficient) pairs, for each reducible pair (v[-1], g)
+        # rewritten (see normal_form)
+        self._products = {}
         # linear-extension memos: word -> normal form of its exterior
         # derivative (filled by differential.exterior_d), and operator ->
         # {function word -> its action} (filled by act)
@@ -377,9 +374,11 @@ class Presentation:
         if rules:
             for lhs in list(rules):
                 self._nf_cache.clear()
+                self._products.clear()
                 rules[lhs] = self.normal_form(rules[lhs])
                 self._pairs[lhs] = self._pair_entry(rules[lhs])
             self._nf_cache.clear()
+            self._products.clear()
         self._central = self._central_letters()
         for lhs, rhs in rules.items():
             self._check_rule_invariants(lhs, rhs)
@@ -539,26 +538,36 @@ class Presentation:
     ) -> Element:
         """Rewrite to normal form; raises NonTerminatingError past the budget.
 
-        The budget, ``DEFAULT_MAX_STEPS`` = 5,000,000 work units unless
-        ``max_steps`` is given, bounds the work of one call: a work unit is
-        one letter of each distinct word rewritten in the call, so a runaway
-        rule set that grows its words is cut off early, and one that cycles
-        back to a word it is still reducing is stopped at once.
-
         ``strategy="leftmost"`` (the default) rewrites the first reducible
-        pair.  It memoises the normal form of every word it reaches, in a
-        memo dropped when the call returns, so each word is rewritten once
-        per call; the normal forms of input words are also kept across calls
+        pair.  A word's normal form is built by inserting its letters one at
+        a time, from the empty word: a letter that forms no reducible pair
+        with the last letter of a normal word ``v`` is appended, and
+        otherwise ``v*g`` is rewritten at that pair, which is the leftmost
+        one, and the letters of each term of the rewrite are inserted into
+        ``v`` less its last letter.  The normal-form terms of each such
+        ``v*g`` are kept in the presentation's product table, so each pair
+        is rewritten once for as long as the table lasts; a call that starts
+        with more than ``PRODUCT_TABLE_CAP`` entries in the table clears it
+        first.  The normal forms of input words are also kept across calls
         in the presentation's cache.  ``strategy="rightmost"`` rewrites the
-        last reducible pair and follows every rewrite path with no memo and
+        last reducible pair and follows every rewrite path with no table and
         no cache; on a confluent presentation both give the same result.
+
+        The budget, ``DEFAULT_MAX_STEPS`` = 5,000,000 work units unless
+        ``max_steps`` is given, bounds the work of one call.  A leftmost work
+        unit is one letter of each ``v*g`` rewritten in the call; a
+        rightmost one is one letter of each word rewritten.  A runaway rule
+        set that grows its words is cut off early, and one whose rewriting
+        of ``v*g`` comes back to ``v*g`` is stopped at once.  A call that
+        raises keeps in the table only the products it finished.
         """
         element = as_element(element)
         budget = max_steps if max_steps is not None else self.DEFAULT_MAX_STEPS
         if strategy not in ("leftmost", "rightmost"):
             raise ValueError(f"unknown rewriting strategy {strategy!r}")
         leftmost = strategy == "leftmost"
-        memo = {}
+        if len(self._products) > self.PRODUCT_TABLE_CAP:
+            self._products.clear()
         spent = 0
         out = {}
         for start_word, start_coeff in element.items():
@@ -566,7 +575,7 @@ class Presentation:
             if result is None:
                 self._check_letters(start_word)
                 if leftmost:
-                    terms, spent = self._reduce_leftmost(start_word, memo, spent, budget)
+                    terms, spent = self._fold_letters(start_word, spent, budget)
                     result = self._nf_cache[start_word] = Element._wrap(terms)
                 else:
                     terms, spent = self._reduce_rightmost(start_word, spent, budget)
@@ -575,57 +584,82 @@ class Presentation:
                 _accumulate(out, w, c if start_coeff is ONE else c * start_coeff)
         return Element._wrap(out)
 
-    def _reduce_leftmost(self, start: Word, memo: dict, spent: int, budget: int):
+    def _fold_letters(self, start: Word, spent: int, budget: int):
         """Leftmost normal-form terms of ``start`` and the work units spent.
 
-        An iterative post-order walk: a word is rewritten once at its first
-        reducible pair, its children are reduced, and then its terms are
-        the sum of c * (terms of child).  ``memo`` maps each word finished
-        in this call to its terms (never mutated once stored) and each word
-        still being reduced to ``_PENDING``.
+        Drives ``_insert`` and ``_product`` from an explicit stack, so no
+        chain of rewrites deepens the Python stack: each generator yields
+        the (word, letter) pair it needs, and the driver pushes the rewriting
+        of that pair and sends back its terms.  Pairs being rewritten are
+        marked ``_PENDING`` in the product table until they finish, and
+        unmarked if the call raises.
         """
-        pairs, cache = self._pairs, self._nf_cache
-        # frames: [word, first position that can be reducible, children once rewritten]
-        todo = [[start, 0, None]]
-        while todo:
-            frame = todo[-1]
-            w, hint, steps = frame
-            if steps is not None:
-                todo.pop()
-                memo[w] = _combine(steps, memo)
-                continue
-            if w in memo:
-                todo.pop()
-                continue
-            cached = cache.get(w)
-            if cached is not None:
-                todo.pop()
-                memo[w] = cached._terms
-                continue
-            for i in range(hint, len(w) - 1):
-                rewrite = pairs.get((w[i], w[i + 1]))
-                if rewrite is not None:
-                    break
-            else:
-                todo.pop()
-                memo[w] = {w: ONE}
-                continue
-            spent = self._spend(start, w, spent, budget)
-            head, tail = w[:i], w[i + 2:]
-            frame[2] = steps = [(head + rw + tail, c) for rw, c in rewrite]
-            memo[w] = _PENDING
-            # after a rewrite at i, nothing left of i-1 can become reducible
-            again = i - 1 if i else 0
-            for child, _ in steps:
-                found = memo.get(child)
-                if found is None:
-                    todo.append([child, again, None])
-                elif found is _PENDING:
+        products = self._products
+        stack = [self._insert({(): ONE}, start)]
+        pending = []
+        value = None
+        try:
+            while True:
+                try:
+                    pair = stack[-1].send(value)
+                except StopIteration as done:
+                    value = done.value
+                    stack.pop()
+                    if not stack:
+                        return value, spent
+                    products[pending.pop()] = value
+                    continue
+                v, g = pair
+                word = v + (g,)
+                if pair in products:
                     raise self._nonterminating(
                         "rewriting cycles back to a word it is still reducing",
-                        start, child, spent,
+                        start, word, spent,
                     )
-        return memo[start], spent
+                spent = self._spend(start, word, spent, budget)
+                products[pair] = _PENDING
+                pending.append(pair)
+                stack.append(self._product(v, g))
+                value = None
+        finally:
+            for pair in pending:
+                del products[pair]
+
+    def _insert(self, terms: dict, letters: Word):
+        """Generator: the normal-form terms of sum(c * v * letters) over the
+        (v, c) of ``terms``, whose words are normal.
+
+        Yields each reducible (v, g) that the product table does not have
+        yet and receives the (word, coefficient) pairs of its normal form.
+        Taking a dict rather than a start word keeps no reference to that
+        word once its first letter is in, so a chain of pending pairs holds
+        one word per pair.
+        """
+        pairs, products = self._pairs, self._products
+        for g in letters:
+            out = {}
+            for v, c in terms.items():
+                if v and (v[-1], g) in pairs:
+                    vg = products.get((v, g), _PENDING)
+                    if vg is _PENDING:
+                        vg = yield v, g
+                    for w, c2 in vg:
+                        _accumulate(out, w, c2 if c is ONE else c * c2)
+                else:
+                    _accumulate(out, v + (g,), c)
+            terms = out
+        return terms
+
+    def _product(self, v: Word, g: str):
+        """Generator: the normal form of ``v*g`` as (word, coefficient)
+        pairs, for a normal word ``v`` whose last letter forms a reducible
+        pair with ``g``, from one rewrite at that pair."""
+        out = {}
+        for rw, c in self._pairs[v[-1], g]:
+            terms = yield from self._insert({v[:-1]: ONE}, rw)
+            for w, c2 in terms.items():
+                _accumulate(out, w, c2 if c is ONE else c * c2)
+        return tuple(out.items())
 
     def _reduce_rightmost(self, start: Word, spent: int, budget: int):
         """Rightmost normal-form terms of ``start`` and the work units spent,

@@ -1,6 +1,10 @@
 """Free elements, Koszul-sign rewriting, confluence, morphisms, star maps."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +19,7 @@ from hsuperplane.algebra import (
     gen,
     word,
 )
-from hsuperplane.presentations import set_h_to_zero
+from hsuperplane.presentations import build_q_superplane, set_h_to_zero
 from hsuperplane.scalar import I, ONE, Q, qpow, sc
 
 
@@ -189,6 +193,31 @@ def test_rewriting_cycle_raises():
         p.normal_form(word("a", "b"), strategy="rightmost", max_steps=1000)
 
 
+def test_failed_call_leaves_no_pending_product():
+    # the pairs still being rewritten when the budget runs out are unmarked,
+    # so a later call does not mistake them for a cycle
+    p = build_q_superplane()
+    e = Element.word(("x",) * 60 + ("th",))
+    with pytest.raises(NonTerminatingError, match="budget of 500 work units"):
+        p.normal_form(e, max_steps=500)
+    assert p.normal_form(e) == p.normal_form(e, strategy="rightmost")
+
+
+def test_long_word_needs_no_deep_recursion():
+    # th moves left past 1500 x's: a chain of 1500 pairs, each waiting on the next
+    p = build_q_superplane()
+    e = Element.word(("x",) * 1500 + ("th",))
+    assert p.normal_form(e) == Element.word(("th",) + ("x",) * 1500, qpow(1500))
+
+
+def test_product_table_is_cleared_past_its_cap(plane):
+    plane.PRODUCT_TABLE_CAP = 0
+    plane.normal_form(word("x", "th"))
+    assert plane._products
+    plane.normal_form(word("x", "th"))  # a cached input word adds no product
+    assert not plane._products
+
+
 def test_unknown_letters_raise_in_every_word(plane):
     for strategy in ("leftmost", "rightmost"):
         for w in (("zzz",), ("x", "zzz"), ("zzz", "x")):
@@ -264,6 +293,38 @@ def test_looping_rules_fail_construction():
             [("a", 0), ("b", 0)],
             [(("b", "a"), word("a", "a", "b", "b")), (("b", "b"), word("b", "a"))],
         )
+
+
+# Traced peak allocation, in MB of 10**6 bytes, of building the looping rule
+# set above at the default budget: one word per pair still being rewritten
+# is kept until the budget runs out, about 44 MB.
+LOOPING_PEAK_MB = 48
+
+LOOPING_PEAK_SCRIPT = """
+import tracemalloc
+from hsuperplane.algebra import NonTerminatingError, Presentation, word
+tracemalloc.start()
+try:
+    Presentation(
+        "loop",
+        [("a", 0), ("b", 0)],
+        [(("b", "a"), word("a", "a", "b", "b")), (("b", "b"), word("b", "a"))],
+    )
+except NonTerminatingError:
+    print(tracemalloc.get_traced_memory()[1])
+"""
+
+
+def test_looping_rules_peak_allocation_is_bounded():
+    # in a process of its own, so that nothing else is traced
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    done = subprocess.run(
+        [sys.executable, "-c", LOOPING_PEAK_SCRIPT],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert int(done.stdout) <= LOOPING_PEAK_MB * 10**6
 
 
 def test_raw_rhs_is_normalised_on_construction():

@@ -6,8 +6,10 @@ memo and no pair table.  Random words are drawn for every catalogue entry,
 with lengths capped per entry so that the reference stays fast; on each the
 engine must agree with the reference, be idempotent, return a normal
 element, and be linear.  The leftmost and rightmost strategies must agree
-on random words for every catalogue entry.  A non-confluent presentation
-pins down the leftmost semantics, where strategies disagree.
+on random words for every catalogue entry, and a presentation whose
+product table and cache were filled by earlier calls must give the normal
+forms of a freshly built one.  A non-confluent presentation pins down the
+leftmost semantics, where strategies disagree.
 """
 
 import pytest
@@ -100,6 +102,38 @@ def test_strategies_agree(name):
     def check(w):
         e = Element.word(w)
         assert p.normal_form(e) == p.normal_form(e, strategy="rightmost")
+
+    check()
+
+
+def rebuilt(p: Presentation) -> Presentation:
+    """A fresh presentation, with empty caches, from ``p``'s public data."""
+    return Presentation(p.name, p.generators, p.rules.items(), derivatives=p.derivatives)
+
+
+WARM = settings(ORACLE, max_examples=40)
+
+
+# With a cap of 4 the product table is cleared at the start of almost every
+# call, so later calls rewrite into a table that lost what earlier ones stored.
+@pytest.mark.parametrize("cap", [None, 4])
+@pytest.mark.parametrize("name", CATALOGUE_NAMES)
+def test_warm_presentation_matches_fresh_one(name, cap, monkeypatch):
+    if cap is not None:
+        monkeypatch.setattr(Presentation, "PRODUCT_TABLE_CAP", cap)
+    p = get_presentation(name)
+    warm = rebuilt(p)
+    short_words = st.lists(st.sampled_from(p.generator_names()), max_size=6).map(tuple)
+
+    @WARM
+    @given(st.lists(words_of(name), max_size=4), short_words)
+    def check(history, w):
+        for earlier in history:
+            warm.normal_form(Element.word(earlier))
+        e = Element.word(w)
+        nf = warm.normal_form(e)
+        assert nf == rebuilt(p).normal_form(e)
+        assert nf == warm.normal_form(e, strategy="rightmost")
 
     check()
 
