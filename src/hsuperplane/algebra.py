@@ -31,6 +31,10 @@ Word = tuple  # tuple[str, ...]
 
 _RESERVED_NAMES = frozenset({"q", "i", "d"})
 
+# a call that starts with more words than this in its memo (normal_form's
+# input-word cache, a memo of linear_extension) clears the memo first
+WORD_MEMO_CAP = 4096
+
 # product-table mark of a (word, letter) pair whose rewriting has started but
 # not finished
 _PENDING = object()
@@ -53,8 +57,11 @@ def linear_extension(terms, image_of, memo: dict) -> "Element":
     ``image_of`` maps one word to an ``Element``.  Each word's image is
     computed once and kept in ``memo``, a dict from word to image that the
     caller owns and fills only through this ``image_of``; the images stay
-    for as long as the memo's owner does, with no bound on their number.
+    for as long as the memo's owner does, and a call that starts with more
+    than ``WORD_MEMO_CAP`` of them clears the memo first.
     """
+    if len(memo) > WORD_MEMO_CAP:
+        memo.clear()
     out = {}
     for w, c in terms:
         image = memo.get(w)
@@ -549,9 +556,10 @@ class Presentation:
         is rewritten once for as long as the table lasts; a call that starts
         with more than ``PRODUCT_TABLE_CAP`` entries in the table clears it
         first.  The normal forms of input words are also kept across calls
-        in the presentation's cache.  ``strategy="rightmost"`` rewrites the
-        last reducible pair and follows every rewrite path with no table and
-        no cache; on a confluent presentation both give the same result.
+        in the presentation's cache, which the same rule bounds by
+        ``WORD_MEMO_CAP``.  ``strategy="rightmost"`` rewrites the last
+        reducible pair and follows every rewrite path with no table and no
+        cache; on a confluent presentation both give the same result.
 
         The budget, ``DEFAULT_MAX_STEPS`` = 5,000,000 work units unless
         ``max_steps`` is given, bounds the work of one call.  A leftmost work
@@ -568,6 +576,8 @@ class Presentation:
         leftmost = strategy == "leftmost"
         if len(self._products) > self.PRODUCT_TABLE_CAP:
             self._products.clear()
+        if len(self._nf_cache) > WORD_MEMO_CAP:
+            self._nf_cache.clear()
         spent = 0
         out = {}
         for start_word, start_coeff in element.items():
@@ -712,11 +722,14 @@ class Presentation:
         The action is linear in the function, so it is the linear extension
         of its value on one function word: the normal form of operator*word
         minus the terms that end in a derivative.  Those values are kept per
-        operator on the presentation, for as long as it lives.
+        operator on the presentation, each operator's memo and the number of
+        operators bounded by ``WORD_MEMO_CAP``.
         """
         operator = as_element(operator)
         memo = self._act_memo.get(operator)
         if memo is None:
+            if len(self._act_memo) >= WORD_MEMO_CAP:
+                self._act_memo.clear()
             memo = self._act_memo[operator] = {}
         return linear_extension(
             as_element(function).items(), lambda w: self._act_on_word(operator, w), memo
@@ -816,7 +829,7 @@ class AlgebraMorphism:
 
     With ``conjugate_scalars`` set, coefficients are complex-conjugated
     (q stays fixed), giving an antilinear map.  The image of each source
-    word is kept in a memo for as long as the map lives, so ``images``
+    word is kept in a memo bounded by ``WORD_MEMO_CAP``, so ``images``
     must not change once the map has been called.
     """
 
@@ -840,8 +853,8 @@ class InvolutionSpec:
     """Antilinear anti-automorphism: conjugate scalars, reverse words.
 
     No Koszul sign is inserted on reversal: (uv)+ = v+ u+ for all parities.
-    The image of each reversed word is kept in a memo for as long as the
-    star lives, as for ``AlgebraMorphism``.
+    The image of each reversed word is kept in a memo, as for
+    ``AlgebraMorphism``.
     """
 
     presentation: Presentation

@@ -24,6 +24,13 @@ negations and ``qpow`` go through the same constructor.  Every path keeps
 the canonical invariant.  Small integers, -16 to 16, are shared constants
 (``ZERO`` and ``ONE`` among them): ``sc(k)`` allocates nothing for them,
 and an arithmetic result equal to one of them is that constant.
+
+Products, sums (so differences) and negations are memoised by value: equal
+scalars are structurally identical, so each result is computed once, by the
+paths above, and kept in a module-level table keyed by its operands; an
+equal operand pair later gets the same result object.  A table that an
+insert would take past ``SCALAR_TABLE_CAP`` entries is cleared first.  A
+scalar caches its hash the first time it is hashed.
 """
 
 from __future__ import annotations
@@ -333,7 +340,7 @@ class ScalarQ:
     monic, so two equal scalars are structurally identical.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "_hash")
 
     def __init__(self, num=0, den=1):
         if not isinstance(num, PolyQ):
@@ -422,26 +429,18 @@ class ScalarQ:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self._monomial(), other._monomial()
-        if a is not None and b is not None and a[1] == b[1]:
-            return _laurent(a[0] + b[0], a[1])
-        if other.is_zero():
+        if not other.num.coeffs:
             return self
-        if self.is_zero():
+        if not self.num.coeffs:
             return other
-        if self.den == other.den:
-            return _reduced(self.num + other.num, self.den)
-        return _reduced(self.num * other.den + other.num * self.den, self.den * other.den)
+        out = _SUMS.get((self, other))
+        return _remember(_SUMS, (self, other), _sum(self, other)) if out is None else out
 
     __radd__ = __add__
 
     def __neg__(self):
-        m = self._monomial()
-        if m is not None:
-            return _laurent(-m[0], m[1])
-        if self.is_zero():
-            return ZERO
-        return ScalarQ._canonical(-self.num, self.den)
+        out = _NEGATIONS.get(self)
+        return _remember(_NEGATIONS, self, _negation(self)) if out is None else out
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -507,16 +506,22 @@ class ScalarQ:
         return self.num.evaluate(_G_ONE) / dval
 
     def __eq__(self, other):
+        if self is other:
+            return True
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        # a constant hashes like the number it equals
-        if self.den.degree == 0 and self.num.degree <= 0:
-            return hash(self.num.lead)
-        return hash((self.num, self.den))
+        try:
+            return self._hash
+        except AttributeError:
+            # a constant hashes like the number it equals
+            constant = self.den.degree == 0 and self.num.degree <= 0
+            value = hash(self.num.lead if constant else (self.num, self.den))
+            object.__setattr__(self, "_hash", value)
+            return value
 
     def __bool__(self):
         return not self.is_zero()
@@ -576,7 +581,29 @@ def _laurent(c: GaussianRational, k: int) -> ScalarQ:
     return ScalarQ._canonical(PolyQ._canonical((c,)), _P_ONE)
 
 
+# value-keyed result tables: (a, b) -> a*b, (a, b) -> a+b for nonzero a and
+# b, a -> -a; an insert that would take one past SCALAR_TABLE_CAP clears it
+SCALAR_TABLE_CAP = 4096
+_PRODUCTS: dict = {}
+_SUMS: dict = {}
+_NEGATIONS: dict = {}
+
+
+def _remember(table: dict, key, value: ScalarQ) -> ScalarQ:
+    """Store ``value`` under ``key`` in ``table``, clearing a full table first."""
+    if len(table) >= SCALAR_TABLE_CAP:
+        table.clear()
+    table[key] = value
+    return value
+
+
 def _product(a: ScalarQ, b: ScalarQ) -> ScalarQ:
+    """a*b from the product table, computed by ``_multiply`` on a miss."""
+    out = _PRODUCTS.get((a, b))
+    return _remember(_PRODUCTS, (a, b), _multiply(a, b)) if out is None else out
+
+
+def _multiply(a: ScalarQ, b: ScalarQ) -> ScalarQ:
     """a*b: exponent arithmetic when an operand is c*q^k, else the reduction."""
     if not a.num.coeffs or not b.num.coeffs:
         return ZERO
@@ -588,6 +615,25 @@ def _product(a: ScalarQ, b: ScalarQ) -> ScalarQ:
     if mb is not None:
         return a._times_monomial(*mb)
     return _reduced(a.num * b.num, a.den * b.den)
+
+
+def _sum(a: ScalarQ, b: ScalarQ) -> ScalarQ:
+    """a+b for nonzero a and b."""
+    ma, mb = a._monomial(), b._monomial()
+    if ma is not None and mb is not None and ma[1] == mb[1]:
+        return _laurent(ma[0] + mb[0], ma[1])
+    if a.den == b.den:
+        return _reduced(a.num + b.num, a.den)
+    return _reduced(a.num * b.den + b.num * a.den, a.den * b.den)
+
+
+def _negation(a: ScalarQ) -> ScalarQ:
+    m = a._monomial()
+    if m is not None:
+        return _laurent(-m[0], m[1])
+    if a.is_zero():
+        return ZERO
+    return ScalarQ._canonical(-a.num, a.den)
 
 
 def _reduced(num: PolyQ, den: PolyQ) -> ScalarQ:

@@ -5,8 +5,16 @@ import random
 
 import pytest
 
-from hsuperplane import differential
-from hsuperplane.algebra import AlgebraError, Element, UnknownGeneratorError, gen, word
+from hsuperplane import algebra, differential
+from hsuperplane.algebra import (
+    AlgebraError,
+    AlgebraMorphism,
+    Element,
+    InvolutionSpec,
+    UnknownGeneratorError,
+    gen,
+    word,
+)
 from hsuperplane.differential import (
     UnsupportedGeneratorError,
     check_d_squared,
@@ -269,3 +277,33 @@ def test_d_and_act_agree_warm_and_fresh():
         assert exterior_d(s, warm) == exterior_d(s, fresh)
         assert warm.act(d, s) == fresh.act(d, s)
         assert warm.act(gen("pth"), s) == fresh.act(gen("pth"), s)
+
+
+def test_word_memos_past_their_cap_keep_their_values(monkeypatch):
+    """With the word-memo cap at 2, d, act, a morphism, a star and
+    normal_form clear their memos on nearly every call; each value still
+    equals the one computed with fresh memos, and no memo holds more than
+    the cap plus the words of the call that filled it."""
+    monkeypatch.setattr(algebra, "WORD_MEMO_CAP", 2)
+    capped = build_h_calculus()
+    images = {g.name: gen(g.name) for g in capped.generators}
+    images["x"] = 2 * gen("x") + word("h", "th")
+    f, star = AlgebraMorphism(capped, capped, images), InvolutionSpec(capped, images)
+    operators = (d_operator(), gen("px"), gen("pth"))
+    rng = random.Random(37)
+    for _ in range(12):
+        s = random_form(rng, capped, 4, terms=4)
+        fresh = build_h_calculus()
+        n = s.term_count()
+        assert exterior_d(s, capped) == exterior_d(s, fresh)
+        assert len(capped.d_memo) <= 2 + n
+        for op in operators:
+            assert capped.act(op, s) == fresh.act(op, s)
+            assert len(capped._act_memo[op]) <= 2 + n
+        assert len(capped._act_memo) <= 2
+        assert f(s) == AlgebraMorphism(fresh, fresh, images)(s)
+        assert star(s) == InvolutionSpec(fresh, images)(s)
+        assert len(f._memo) <= 2 + n and len(star._memo) <= 2 + n
+        product = s * random_form(rng, capped, 3)
+        assert capped.normal_form(product) == fresh.normal_form(product)
+        assert len(capped._nf_cache) <= 2 + product.term_count()

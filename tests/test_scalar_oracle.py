@@ -5,6 +5,10 @@ denominator), Laurent monomials c*q^k with positive and negative k
 (monomial denominator), and quotients whose numerator and denominator share
 a non-monomial factor such as q-1 or q^2+1 (the Euclidean gcd).
 Coefficients include Fractions and non-real Gaussian rationals.
+
+Products, sums and negations are kept in value-keyed tables, so each of
+them is checked on a miss, on the hit that follows and after the tables
+are cleared.
 """
 
 import operator
@@ -15,6 +19,8 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hsuperplane import scalar
+from hsuperplane.algebra import Element
 from hsuperplane.scalar import ONE, Q, ZERO, GaussianRational, PolyQ, ScalarQ, qpow, sc
 
 # derandomized, so the tier-1 run is deterministic; no example database on disk
@@ -221,3 +227,91 @@ def test_power_matches_sympy(a, k):
     assert_shared_if_small_int(result, a)
     num, den = sym_scalar(a)
     assert_matches_sympy(result, (num**k, den**k) if k >= 0 else (den**-k, num**-k))
+
+
+# -- the value-keyed result tables -------------------------------------------------
+
+TABLES = (scalar._PRODUCTS, scalar._SUMS, scalar._NEGATIONS)
+
+MEMO_OPS = {
+    "mul": (operator.mul, OPS["mul"][1]),
+    "add": (operator.add, OPS["add"][1]),
+    "sub": (operator.sub, OPS["sub"][1]),
+    "neg": (lambda a, b: -a, lambda a, b: (-a[0], a[1])),
+}
+
+
+# three sympy checks per example, so fewer examples than ORACLE
+MEMO_ORACLE = settings(ORACLE, max_examples=60)
+
+
+def clear_tables():
+    for table in TABLES:
+        table.clear()
+
+
+@pytest.mark.parametrize("name", sorted(MEMO_OPS))
+@MEMO_ORACLE
+@given(a=scalars, b=scalars)
+def test_memo_hit_matches_sympy(name, a, b):
+    """A miss, the hit that follows and a recomputation after the tables are
+    cleared each match sympy; a repeat returns the object stored."""
+    op, sym_op = MEMO_OPS[name]
+    expected = sym_op(sym_scalar(a), sym_scalar(b))
+    clear_tables()
+    miss = op(a, b)
+    hit = op(ScalarQ(a.num, a.den), ScalarQ(b.num, b.den))  # equal, not identical
+    clear_tables()
+    again = op(a, b)
+    for result in (miss, hit, again):
+        assert_canonical(result)
+        assert_matches_sympy(result, expected)
+    assert op(a, b) is again
+
+
+def equal_values(g):
+    """The number ``g`` in every representation that equals it and must hash
+    like it; the last two are a miss and the memo hit that follows."""
+    out = [g, ScalarQ(g), sc(g), Element.scalar(g)]
+    if not g.im:
+        out += [g.re, Fraction(g.re)]
+    return out + [(sc(g) * Q) * qpow(-1) for _ in range(2)]
+
+
+@ORACLE
+@given(x=gaussians, y=gaussians)
+def test_equal_values_hash_alike(x, y):
+    values = equal_values(x) + equal_values(y)
+    for a in values:
+        for b in values:
+            if a == b:
+                assert hash(a) == hash(b)
+
+
+@ORACLE
+@given(a=scalars, b=nonzero_scalars)
+def test_constructed_scalar_hashes_like_a_memo_hit(a, b):
+    clear_tables()
+    a * b
+    hit = a * b
+    built = ScalarQ(hit.num, hit.den)
+    assert built == hit and hit == built
+    assert hash(built) == hash(hit)
+
+
+def test_tables_stay_bounded(monkeypatch):
+    monkeypatch.setattr(scalar, "SCALAR_TABLE_CAP", 8)
+    clear_tables()
+    ks = range(-4, 5)
+    for j in ks:
+        for k in ks:
+            m = sc(2) * qpow(j)
+            for op in ("mul", "add", "sub"):
+                result = OPS[op][0](m, qpow(k))
+                assert_matches_sympy(result, OPS[op][1](sym_scalar(m), sym_scalar(qpow(k))))
+            result = -(m + qpow(k))
+            num, den = sym_scalar(m + qpow(k))
+            assert_matches_sympy(result, (-num, den))
+            assert all(len(table) <= 8 for table in TABLES)
+    assert all(table for table in TABLES)
+    clear_tables()
