@@ -50,6 +50,16 @@ def _accumulate(terms: dict, word: Word, coeff: ScalarQ) -> None:
         terms[word] = acc
 
 
+def _concatenations(a: dict, b: dict, out=None) -> dict:
+    """``out`` (a new dict by default) plus the terms of the free product of
+    the term dicts ``a`` and ``b``."""
+    out = {} if out is None else out
+    for w1, c1 in a.items():
+        for w2, c2 in b.items():
+            _accumulate(out, w1 + w2, c1 * c2)
+    return out
+
+
 def linear_extension(terms, image_of, memo: dict) -> "Element":
     """The linear extension of a word function: the sum of c * image_of(w)
     over the (word, c) pairs of ``terms``.
@@ -105,7 +115,8 @@ class Element:
     """Linear combination of words with ScalarQ coefficients.
 
     Addition and the free (concatenation) product never consult a
-    presentation; normal forms are computed by ``Presentation.normal_form``.
+    presentation; normal forms are computed by ``Presentation.normal_form``
+    and, for a product, ``Presentation.multiply``.
     """
 
     __slots__ = ("_terms",)
@@ -117,14 +128,14 @@ class Element:
                 coeff = _coerce_scalar(coeff)
                 if not coeff.is_zero():
                     data[tuple(word)] = coeff
-        object.__setattr__(self, "_terms", data)
+        _set_terms(self, data)
 
     @staticmethod
     def _wrap(terms: dict) -> "Element":
         """An element owning ``terms``, whose keys are word tuples and whose
         values are nonzero ``ScalarQ``s; the checks of ``__init__`` are skipped."""
         out = object.__new__(Element)
-        object.__setattr__(out, "_terms", terms)
+        _set_terms(out, terms)
         return out
 
     def __setattr__(self, name, value):
@@ -224,11 +235,7 @@ class Element:
             return self.scale(other)
         if not isinstance(other, Element):
             return NotImplemented
-        out = {}
-        for w1, c1 in self._terms.items():
-            for w2, c2 in other._terms.items():
-                _accumulate(out, w1 + w2, c1 * c2)
-        return Element._wrap(out)
+        return Element._wrap(_concatenations(self._terms, other._terms))
 
     def __rmul__(self, other):
         if isinstance(other, (ScalarQ, int, Fraction, GaussianRational)):
@@ -275,6 +282,8 @@ class Element:
         return "Element(" + " + ".join(parts) + ")"
 
 
+# the slot's own setter builds an Element past the __setattr__ that forbids it
+_set_terms = Element._terms.__set__
 ZERO_ELEMENT = Element()
 ONE_ELEMENT = Element.scalar(1)
 
@@ -570,9 +579,14 @@ class Presentation:
         raises keeps in the table only the products it finished.
         """
         element = as_element(element)
-        budget = max_steps if max_steps is not None else self.DEFAULT_MAX_STEPS
         if strategy not in ("leftmost", "rightmost"):
             raise ValueError(f"unknown rewriting strategy {strategy!r}")
+        return Element._wrap(self._normal_terms(element._terms.items(), strategy, max_steps))
+
+    def _normal_terms(self, terms, strategy="leftmost", max_steps=None) -> dict:
+        """The work of ``normal_form`` on (word, coefficient) pairs, with no
+        Element built: the normal form's terms as a new dict."""
+        budget = max_steps if max_steps is not None else self.DEFAULT_MAX_STEPS
         leftmost = strategy == "leftmost"
         if len(self._products) > self.PRODUCT_TABLE_CAP:
             self._products.clear()
@@ -580,19 +594,18 @@ class Presentation:
             self._nf_cache.clear()
         spent = 0
         out = {}
-        for start_word, start_coeff in element.items():
+        for start_word, start_coeff in terms:
             result = self._nf_cache.get(start_word) if leftmost else None
             if result is None:
                 self._check_letters(start_word)
                 if leftmost:
-                    terms, spent = self._fold_letters(start_word, spent, budget)
-                    result = self._nf_cache[start_word] = Element._wrap(terms)
+                    result, spent = self._fold_letters(start_word, spent, budget)
+                    self._nf_cache[start_word] = result
                 else:
-                    terms, spent = self._reduce_rightmost(start_word, spent, budget)
-                    result = Element._wrap(terms)
-            for w, c in result._terms.items():
+                    result, spent = self._reduce_rightmost(start_word, spent, budget)
+            for w, c in result.items():
                 _accumulate(out, w, c if start_coeff is ONE else c * start_coeff)
-        return Element._wrap(out)
+        return out
 
     def _fold_letters(self, start: Word, spent: int, budget: int):
         """Leftmost normal-form terms of ``start`` and the work units spent.
@@ -703,8 +716,10 @@ class Presentation:
         )
 
     def multiply(self, a, b) -> Element:
-        """Normal form of the product a*b."""
-        return self.normal_form(as_element(a) * as_element(b))
+        """Normal form of the product a*b: the terms of ``a * b``, cancelled
+        as there, go straight to the normal-form core with no Element built."""
+        terms = _concatenations(as_element(a)._terms, as_element(b)._terms)
+        return Element._wrap(self._normal_terms(terms.items()))
 
     def is_normal(self, element: Element) -> bool:
         for w in element.words():
@@ -741,7 +756,7 @@ class Presentation:
                 raise UnknownGeneratorError(
                     f"function operand contains derivative generator {g!r}"
                 )
-        product = self.normal_form(operator * Element.word(w))
+        product = self.multiply(operator, Element.word(w))
         derivatives = self.derivatives
         return Element._wrap(
             {v: c for v, c in product._terms.items() if not (v and v[-1] in derivatives)}
@@ -750,7 +765,8 @@ class Presentation:
     # -- confluence ----------------------------------------------------------
 
     def check_confluence(self) -> "ConfluenceReport":
-        """Reduce every doubly-reducible length-3 word both ways and compare."""
+        """Reduce every doubly-reducible length-3 word both ways and compare
+        the terms; only a failure wraps its two normal forms as Elements."""
         failures = []
         checked = 0
         names = self.generator_names()
@@ -762,12 +778,10 @@ class Presentation:
                         continue
                     checked += 1
                     w = (g1, g2, g3)
-                    via_left = Element(dict(self._step_at(w, 0)))
-                    via_right = Element(dict(self._step_at(w, 1)))
-                    nf_left = self.normal_form(via_left)
-                    nf_right = self.normal_form(via_right)
-                    if nf_left != nf_right:
-                        failures.append((w, nf_left, nf_right))
+                    left = self._normal_terms(self._step_at(w, 0))
+                    right = self._normal_terms(self._step_at(w, 1))
+                    if left != right:
+                        failures.append((w, Element._wrap(left), Element._wrap(right)))
         return ConfluenceReport(self.name, checked, failures)
 
     # -- comparison ------------------------------------------------------------

@@ -27,7 +27,7 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from .algebra import AlgebraError, Element, Presentation
+from .algebra import AlgebraError, Presentation
 from .expr import ExprSyntaxError, UnknownSymbolError, parse_rule, parse_scalar
 from .presentations import (
     UnknownPresentationError,
@@ -39,6 +39,7 @@ from .presentations import (
     get_presentation,
     involution_check,
     oscillator_check,
+    overlap_text,
     solve_consistency,
 )
 from .reports import VerificationReport
@@ -156,12 +157,9 @@ def _build_numbered(path: str, numbers: list, build) -> Presentation:
 def _report_overlaps(p: Presentation, path: str) -> bool:
     """Print every overlap of ``p`` whose two reductions differ; True if none."""
     report = p.check_confluence()
-    for w, via_left, via_right in report.failures:
-        print(
-            f"error: {path}: rules are not confluent: {p.show(Element.word(w))} "
-            f"reduces to {p.show(via_left)} and to {p.show(via_right)}",
-            file=sys.stderr,
-        )
+    for failure in report.failures:
+        text = overlap_text(p, failure)
+        print(f"error: {path}: rules are not confluent: {text}", file=sys.stderr)
     return report.passed
 
 

@@ -11,7 +11,7 @@ Leibniz rule, the operator exchange identities and the curl formula.
 import random
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .algebra import AlgebraError, Element, Presentation, gen, linear_extension, word
+from .algebra import AlgebraError, Element, Presentation, _accumulate, gen, linear_extension, word
 from .presentations import get_presentation
 from .reports import ReportEntry, VerificationReport
 from .scalar import ONE, sc
@@ -105,14 +105,14 @@ def random_form(
     parity: Optional[int] = None,
 ) -> Element:
     """Random normalized polynomial; fixed parity when requested."""
-    element = Element.zero()
+    collected = {}
     for _ in range(terms):
         degree = rng.randint(0 if parity in (None, 0) else 1, max_degree)
-        w = tuple(rng.choice(letters) for _ in range(degree))
+        w = tuple([rng.choice(letters) for _ in range(degree)])
         if parity is not None and p.word_parity(w) != parity:
             continue
-        element = element + Element.word(w, sc(rng.choice((1, 2, 3, -1, -2))))
-    return p.normal_form(element)
+        _accumulate(collected, w, sc(rng.choice((1, 2, 3, -1, -2))))
+    return p.normal_form(Element(collected))
 
 
 # A check's residuals come as (label template, elements named in the label,
@@ -130,10 +130,10 @@ def _leibniz_residuals(pairs: Iterable[Tuple[Element, Element]], p: Presentation
         if parity is None and not f.is_zero():
             raise AlgebraError("left factor must be parity-homogeneous")
         sign = sc(-1 if parity else 1)
-        residual = p.normal_form(
-            exterior_d(p.normal_form(f * g), p)
-            - exterior_d(f, p) * g
-            - (f * exterior_d(g, p)).scale(sign)
+        residual = (
+            exterior_d(p.multiply(f, g), p)
+            - p.multiply(exterior_d(f, p), g)
+            - p.multiply(f, exterior_d(g, p)).scale(sign)
         )
         yield "Leibniz on ({}, {})", (f, g), residual
 
@@ -185,15 +185,15 @@ def check_operator_relations(p: Presentation) -> VerificationReport:
     checks = [
         (
             "d*x - x*d acts as dx",
-            lambda m: d_of(p.normal_form(gen("x") * m))
-            - p.normal_form(gen("x") * d_of(m))
-            - p.normal_form(gen("dx") * m),
+            lambda m: d_of(p.multiply(gen("x"), m))
+            - p.multiply(gen("x"), d_of(m))
+            - p.multiply(gen("dx"), m),
         ),
         (
             "d*th + th*d acts as dth",
-            lambda m: d_of(p.normal_form(gen("th") * m))
-            + p.normal_form(gen("th") * d_of(m))
-            - p.normal_form(gen("dth") * m),
+            lambda m: d_of(p.multiply(gen("th"), m))
+            + p.multiply(gen("th"), d_of(m))
+            - p.multiply(gen("dth"), m),
         ),
         (
             "d commutes with px",
@@ -205,13 +205,13 @@ def check_operator_relations(p: Presentation) -> VerificationReport:
         ),
         (
             "d anticommutes with dx",
-            lambda m: d_of(p.normal_form(gen("dx") * m))
-            + p.normal_form(gen("dx") * d_of(m)),
+            lambda m: d_of(p.multiply(gen("dx"), m))
+            + p.multiply(gen("dx"), d_of(m)),
         ),
         (
             "d commutes with dth",
-            lambda m: d_of(p.normal_form(gen("dth") * m))
-            - p.normal_form(gen("dth") * d_of(m)),
+            lambda m: d_of(p.multiply(gen("dth"), m))
+            - p.multiply(gen("dth"), d_of(m)),
         ),
         ("d squares to zero as an operator", lambda m: d_of(d_of(m))),
         (
@@ -269,11 +269,9 @@ def curl(w1: Element, w2: Element, p: Presentation) -> Element:
     value = p.normal_form(
         p.act(gen("px"), w2).scale(ONE / lam) - p.act(gen("pth"), w1)
     )
-    derivative = exterior_d(
-        p.normal_form(gen("dx") * w1 + gen("dth") * w2), p
-    )
+    derivative = exterior_d(p.multiply(gen("dx"), w1) + p.multiply(gen("dth"), w2), p)
     expected = _two_form_part(derivative)
-    recovered = p.normal_form(word("dx", "dth") * value)
+    recovered = p.multiply(word("dx", "dth"), value)
     if expected != recovered:
         raise AlgebraError("curl does not match the two-form coefficient")
     return value

@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .algebra import AlgebraError, Element, Presentation, gen, word
+from .algebra import AlgebraError, Element, Presentation, _concatenations, gen, word
 from .expr import parse_relation
 from .presentations import (
     CALCULUS_DERIVATIVES,
@@ -133,9 +133,8 @@ class SuperTensor:
             )
         p = self.presentation
         product = _free_product(self.entries, other.entries, self.n)
-        return SuperTensor(
-            p, self.rank, {idx: p.normal_form(total) for idx, total in product.items()}
-        )
+        entries = {idx: Element._wrap(p._normal_terms(t.items())) for idx, t in product.items()}
+        return SuperTensor(p, self.rank, entries)
 
     def map_entries(self, f) -> "SuperTensor":
         return SuperTensor(
@@ -387,20 +386,19 @@ def _t_slot_entries(T: SuperMatrix, slot: int) -> dict:
 
 
 def _free_product(a: dict, b: dict, n: int) -> dict:
-    """Matrix product of rank-2n entry maps in the free algebra (no rewriting)."""
+    """Matrix product of rank-2n entry maps in the free algebra (no rewriting).
+
+    Sparse: ``b`` is indexed by its upper half once, and each entry of ``a``
+    meets only the entries of ``b`` whose upper half is its lower half.
+    """
+    rows = {}
+    for idx, right in b.items():
+        rows.setdefault(idx[:n], []).append((idx[n:], right))
     out = {}
-    for upper in _indices(n):
-        for lower in _indices(n):
-            total = Element.zero()
-            for mid in _indices(n):
-                left = a.get(upper + mid)
-                right = b.get(mid + lower)
-                if left is None or right is None:
-                    continue
-                total = total + left * right
-            if not total.is_zero():
-                out[upper + lower] = total
-    return out
+    for idx, left in a.items():
+        for lower, right in rows.get(idx[n:], ()):
+            _concatenations(left._terms, right._terms, out.setdefault(idx[:n] + lower, {}))
+    return {idx: Element._wrap(terms) for idx, terms in out.items() if terms}
 
 
 def rtt_expand(t: SuperTensor, T: Optional[SuperMatrix] = None) -> list:

@@ -495,8 +495,13 @@ class ScalarQ:
         return out
 
     def conjugate(self) -> "ScalarQ":
-        """Complex conjugation; the deformation parameter q is treated as real."""
-        return _reduced(self.num.conjugate(), self.den.conjugate())
+        """Complex conjugation; the deformation parameter q is treated as real,
+        so the conjugate of a canonical N/D is canonical (a monic denominator
+        stays monic) and needs no reduction.  A constant result is shared."""
+        num = self.num.conjugate()
+        if len(self.den.coeffs) == 1 and len(num.coeffs) <= 1:
+            return _laurent(num.lead, 0)
+        return ScalarQ._canonical(num, self.den.conjugate())
 
     def limit_at_one(self) -> GaussianRational:
         """Value at q = 1; a zero denominator here is a genuine pole."""

@@ -141,6 +141,42 @@ def test_d_squared_on_random_polynomials():
         assert check_d_squared(samples, p).passed
 
 
+def element_sum_random_form(rng, p, max_degree, letters, terms, parity):
+    """``random_form`` as a sum of one-word Elements, normalised at the end."""
+    element = Element.zero()
+    for _ in range(terms):
+        degree = rng.randint(0 if parity in (None, 0) else 1, max_degree)
+        w = tuple(rng.choice(letters) for _ in range(degree))
+        if parity is not None and p.word_parity(w) != parity:
+            continue
+        element = element + Element.word(w, sc(rng.choice((1, 2, 3, -1, -2))))
+    return p.normal_form(element)
+
+
+# (max_degree, letters, terms, parity); two letters and six terms repeat words
+RANDOM_FORM_CALLS = (
+    (5, ("h", "dth", "dx", "th", "x"), 3, None),
+    (4, ("h", "dth", "dx", "th", "x"), 3, 0),
+    (4, ("h", "dth", "dx", "th", "x"), 4, 1),
+    (2, ("th", "x"), 6, None),
+)
+
+
+def test_random_form_matches_the_element_sum():
+    """Same elements and the same RNG calls as the Element-sum construction,
+    which the golden report cannot tell apart from a changed sample."""
+    for seed in range(20):
+        for p in (QH, HC):
+            rng, reference = random.Random(seed), random.Random(seed)
+            for max_degree, letters, terms, parity in RANDOM_FORM_CALLS * 3:
+                sample = random_form(rng, p, max_degree, letters, terms, parity)
+                expected = element_sum_random_form(
+                    reference, p, max_degree, letters, terms, parity
+                )
+                assert sample == expected
+                assert rng.getstate() == reference.getstate()
+
+
 def test_leibniz_exact_pair():
     report = check_leibniz([(gen("x"), gen("x"))], HC)
     assert report.passed

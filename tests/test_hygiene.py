@@ -10,6 +10,8 @@
   only there.
 * ``algebra.py``, the generic rewriting layer, names no generator: it has
   no string constant ``"h"``.
+* No call in ``src/`` normalises a product as ``.normal_form(a * b)``:
+  ``Presentation.multiply`` is the one way to do that.
 * Every engine name that ``perfbench/tracing.py`` wraps in a span (its
   ``SPANS`` table and the suite functions of ``SUITE_FUNCTIONS``) still
   exists, so a rename cannot silently drop a traced metric.
@@ -91,6 +93,27 @@ def test_algebra_names_no_generator():
         if isinstance(node, ast.Constant) and node.value == "h"
     ]
     assert named == []
+
+
+def _has_product(node: ast.AST) -> bool:
+    """A ``*`` in the arithmetic of ``node``; the arguments of calls are not
+    looked into."""
+    if isinstance(node, ast.BinOp):
+        return isinstance(node.op, ast.Mult) or _has_product(node.left) or _has_product(node.right)
+    return isinstance(node, ast.UnaryOp) and _has_product(node.operand)
+
+
+def test_no_normal_form_of_a_product():
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in MODULES
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "normal_form"
+        and any(_has_product(arg) for arg in node.args)
+    ]
+    assert calls == []
 
 
 def _tracing_table(name: str):

@@ -35,7 +35,7 @@ from hsuperplane.presentations import (
     transport_morphism,
     verify_presentation,
 )
-from hsuperplane.scalar import I, ONE, PoleAtOne, Q, ZERO, qpow, sc
+from hsuperplane.scalar import I, ONE, PoleAtOne, Q, ScalarQ, ZERO, qpow, sc
 
 C = ONE / (Q - ONE)
 
@@ -155,6 +155,23 @@ def test_every_catalogue_presentation_is_confluent(name):
     assert report.failures == []
     assert report.passed
     assert report.words_checked > 0
+
+
+def test_confluence_report_names_the_first_failing_overlap(monkeypatch):
+    nc = Presentation(
+        "nc",
+        [("u", 0), ("v", 0)],
+        [(("v", "u"), 2 * word("u", "v")), (("v", "v"), word("u"))],
+    )
+    monkeypatch.setattr(presentations, "CATALOGUE_NAMES", ("nc",))
+    monkeypatch.setattr(presentations, "get_presentation", lambda name: nc)
+    (entry,) = presentations.confluence_report().entries
+    assert not entry.passed
+    assert str(entry) == (
+        "[FAIL] nc has no unresolved critical pairs: "
+        "2 words checked; v^2*u reduces to u^2 and to 4*u^2"
+    )
+    assert entry.data == {"words_checked": 2, "failures": 2}
 
 
 # -- the q,h-level calculus -----------------------------------------------------
@@ -395,6 +412,28 @@ def test_mixed_rules_are_not_star_invariant():
         residual = hc.normal_form(star(relation))
         assert not residual.is_zero()
         assert all("h" in w for w in residual.words())
+
+
+def star_antilinearity_failures(star) -> list:
+    """The generators g for which star(i*g) is not -i*star(g)."""
+    hc = get_presentation("h-calculus")
+    return [
+        g.name
+        for g in hc.generators
+        if star(I * gen(g.name)) != -I * star(gen(g.name))
+    ]
+
+
+def test_star_is_antilinear():
+    assert star_antilinearity_failures(build_star()) == []
+
+
+def test_antilinearity_check_catches_a_linear_star(monkeypatch):
+    # the star's coefficients are all real, so only a non-real one can tell
+    # an antilinear star from a linear one
+    monkeypatch.setattr(ScalarQ, "conjugate", lambda self: self)
+    names = get_presentation("h-calculus").generator_names()
+    assert star_antilinearity_failures(build_star()) == list(names)
 
 
 # -- coaction -------------------------------------------------------------------------

@@ -9,7 +9,8 @@ element, and be linear.  The leftmost and rightmost strategies must agree
 on random words for every catalogue entry, and a presentation whose
 product table and cache were filled by earlier calls must give the normal
 forms of a freshly built one.  A non-confluent presentation pins down the
-leftmost semantics, where strategies disagree.
+leftmost semantics, where strategies disagree.  ``multiply`` must equal the
+normal form of the free product and normalise exactly its words.
 """
 
 import pytest
@@ -149,3 +150,35 @@ def test_non_confluent_presentation_keeps_leftmost_semantics():
     assert p.normal_form(vvu) == word("u", "u")
     assert p.normal_form(vvu) == plain_leftmost(p, vvu)
     assert p.normal_form(vvu, strategy="rightmost") == 4 * word("u", "u")
+
+
+# Factors of up to three letters keep every product short enough for the
+# reference-free comparison below on every catalogue entry.
+MULTIPLY = settings(ORACLE, max_examples=30)
+
+
+@pytest.mark.parametrize("name", CATALOGUE_NAMES)
+def test_multiply_normalises_the_words_of_the_product(name):
+    """``multiply(a, b)`` equals ``normal_form(a * b)`` and normalises
+    exactly the words of ``a * b``: the factors (u + u*v) and (v*w - w)
+    cancel the word u*v*w before any rewriting."""
+    p = get_presentation(name)
+    names = st.sampled_from(p.generator_names())
+    terms = st.tuples(st.lists(names, max_size=3).map(tuple), st.sampled_from(SCALARS))
+    elements = st.lists(terms, max_size=3).map(
+        lambda pairs: sum((Element.word(w, c) for w, c in pairs), Element.zero())
+    )
+
+    @MULTIPLY
+    @given(elements, elements, names, names, names)
+    def check(a, b, u, v, w):
+        a = a + word(u) + word(u, v)
+        b = b + word(v, w) - word(w)
+        product = a * b
+        p._nf_cache.clear()
+        via_multiply = p.multiply(a, b)
+        normalised = set(p._nf_cache)
+        assert via_multiply == p.normal_form(product)
+        assert normalised == set(product.words())
+
+    check()

@@ -1,8 +1,12 @@
 """Deformation matrices: Yang-Baxter, inverses, RTT, rule regeneration."""
 
+import itertools
 import json
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hsuperplane.algebra import AlgebraError, Element, gen, word
 from hsuperplane.presentations import get_presentation
@@ -13,6 +17,7 @@ from hsuperplane.rmatrix import (
     SuperIndex,
     SuperMatrix,
     SuperTensor,
+    _free_product,
     build_K_h,
     build_K_hq,
     build_Khat_h,
@@ -330,3 +335,40 @@ def test_json_rendering_round_trips():
     assert data["entries"][3][3] == "-1"
     rank6 = json.loads(embed(build_Khat_h(), 12).to_json())
     assert len(rank6["indices"]) == 8
+
+
+# -- the sparse free product ---------------------------------------------------------
+
+
+def dense_free_product(a: dict, b: dict, n: int) -> dict:
+    """Every (upper, mid, lower) index triple, summed in the free algebra."""
+    indices = list(itertools.product(SuperIndex.values, repeat=n))
+    out = {}
+    for upper in indices:
+        for lower in indices:
+            total = Element.zero()
+            for mid in indices:
+                left, right = a.get(upper + mid), b.get(mid + lower)
+                if left is not None and right is not None:
+                    total = total + left * right
+            if not total.is_zero():
+                out[upper + lower] = total
+    return out
+
+
+def random_entry_map(rng: random.Random, n: int, density: float) -> dict:
+    """Entries 1, -1, a or -a at a random share ``density`` of the indices,
+    so that the sum over mid often cancels to 0."""
+    return {
+        idx: Element.word(rng.choice(((), ("a",))), sc(rng.choice((1, -1))))
+        for idx in itertools.product(SuperIndex.values, repeat=2 * n)
+        if rng.random() < density
+    }
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(st.sampled_from((2, 3)), st.integers(0, 2**32), st.sampled_from((0.1, 0.3, 0.6)))
+def test_sparse_free_product_matches_the_dense_loop(n, seed, density):
+    rng = random.Random(seed)
+    a, b = random_entry_map(rng, n, density), random_entry_map(rng, n, density)
+    assert _free_product(a, b, n) == dense_free_product(a, b, n)

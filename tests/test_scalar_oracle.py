@@ -165,6 +165,22 @@ def test_negation_matches_sympy(a):
     assert_shared_if_small_int(result, a)
 
 
+def sym_conjugate(poly):
+    """``poly`` with each coefficient complex-conjugated by sympy; q is real."""
+    return sympy.Poly([sympy.conjugate(c) for c in poly.all_coeffs()], QS, domain=sympy.QQ_I)
+
+
+# one sympy check per example, on the paths of conjugation only
+@settings(ORACLE, max_examples=60)
+@given(a=scalars)
+def test_conjugate_matches_sympy(a):
+    result = a.conjugate()
+    assert_canonical(result)
+    num, den = sym_scalar(a)
+    assert_matches_sympy(result, (sym_conjugate(num), sym_conjugate(den)))
+    assert_shared_if_small_int(result)
+
+
 # -- Laurent monomials c*q^k: the exponent-arithmetic paths -------------------------
 
 nonzero_gaussians = gaussians.filter(lambda c: not c.is_zero())
