@@ -333,8 +333,9 @@ class Presentation:
 
     DEFAULT_MAX_STEPS = 5_000_000
     # a normal_form call that starts with more (word, letter) products than
-    # this in the product table clears the table first
-    PRODUCT_TABLE_CAP = 512
+    # this in the product table clears the table first; 2048 is the knee of
+    # the time and memory curve measured on the normalize-mix stream
+    PRODUCT_TABLE_CAP = 2048
 
     def __init__(
         self,
@@ -560,7 +561,8 @@ class Presentation:
         with the last letter of a normal word ``v`` is appended, and
         otherwise ``v*g`` is rewritten at that pair, which is the leftmost
         one, and the letters of each term of the rewrite are inserted into
-        ``v`` less its last letter.  The normal-form terms of each such
+        ``v`` less its last letter (carrying its coefficient from the start
+        when the rewrite has one term).  The normal-form terms of each such
         ``v*g`` are kept in the presentation's product table, so each pair
         is rewritten once for as long as the table lasts; a call that starts
         with more than ``PRODUCT_TABLE_CAP`` entries in the table clears it
@@ -612,12 +614,13 @@ class Presentation:
 
         Drives ``_insert`` and ``_product`` from an explicit stack, so no
         chain of rewrites deepens the Python stack: each generator yields
-        the (word, letter) pair it needs, and the driver pushes the rewriting
-        of that pair and sends back its terms.  Pairs being rewritten are
-        marked ``_PENDING`` in the product table until they finish, and
-        unmarked if the call raises.
+        the pair (v, g) it needs; the driver pushes its rewriting, a
+        one-term (rw, c) as ``_insert({v[:-1]: c}, rw)`` and any other
+        through ``_product``, then stores the terms as a tuple and sends
+        them back.  Pairs being rewritten are marked ``_PENDING`` in the
+        product table until they finish, and unmarked if the call raises.
         """
-        products = self._products
+        products, pairs = self._products, self._pairs
         stack = [self._insert({(): ONE}, start)]
         pending = []
         value = None
@@ -630,7 +633,7 @@ class Presentation:
                     stack.pop()
                     if not stack:
                         return value, spent
-                    products[pending.pop()] = value
+                    value = products[pending.pop()] = tuple(value.items())
                     continue
                 v, g = pair
                 word = v + (g,)
@@ -642,7 +645,12 @@ class Presentation:
                 spent = self._spend(start, word, spent, budget)
                 products[pair] = _PENDING
                 pending.append(pair)
-                stack.append(self._product(v, g))
+                rewrite = pairs[v[-1], g]
+                if len(rewrite) == 1:
+                    (rw, c), = rewrite
+                    stack.append(self._insert({v[:-1]: c}, rw))
+                else:
+                    stack.append(self._product(v, g))
                 value = None
         finally:
             for pair in pending:
@@ -674,15 +682,15 @@ class Presentation:
         return terms
 
     def _product(self, v: Word, g: str):
-        """Generator: the normal form of ``v*g`` as (word, coefficient)
-        pairs, for a normal word ``v`` whose last letter forms a reducible
-        pair with ``g``, from one rewrite at that pair."""
+        """Generator: the normal form of ``v*g`` as a dict of its terms, for
+        a normal word ``v`` whose last letter forms a reducible pair with
+        ``g``, from one rewrite at that pair with no term or several."""
         out = {}
         for rw, c in self._pairs[v[-1], g]:
             terms = yield from self._insert({v[:-1]: ONE}, rw)
             for w, c2 in terms.items():
                 _accumulate(out, w, c2 if c is ONE else c * c2)
-        return tuple(out.items())
+        return out
 
     def _reduce_rightmost(self, start: Word, spent: int, budget: int):
         """Rightmost normal-form terms of ``start`` and the work units spent,

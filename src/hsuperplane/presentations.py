@@ -568,6 +568,7 @@ def build_coaction_product() -> Presentation:
     return full
 
 
+@functools.cache
 def _build_coaction_control() -> Presentation:
     """Same product algebra but with undeformed (graded-commuting) group letters."""
     return Presentation(
@@ -917,6 +918,13 @@ def consistency_report() -> VerificationReport:
     return report
 
 
+@functools.cache
+def _contraction_maps(p_q: Presentation) -> tuple:
+    """The transport of the catalogue's ``p_q`` and its q -> 1 limit, built
+    once per process like the catalogue."""
+    return transport_morphism(p_q), limit_presentation(p_q, "h-calculus")
+
+
 def contraction_report() -> VerificationReport:
     """Transport every q-level rule to h = 0 and compare the catalogues.
 
@@ -925,7 +933,7 @@ def contraction_report() -> VerificationReport:
     would compute every residual a second time.
     """
     p_q = get_presentation("qh-calculus")
-    sigma = transport_morphism(p_q)
+    sigma, contracted = _contraction_maps(p_q)
     report = VerificationReport("contraction", p_q.name)
     for rule in p_q.rule_list():
         residual = sigma(Element.word(rule.lhs, ONE)) - sigma(rule.rhs)
@@ -934,7 +942,6 @@ def contraction_report() -> VerificationReport:
             sigma.target.show(residual),
             residual.is_zero(),
         )
-    contracted = limit_presentation(p_q, "h-calculus")
     catalogue = get_presentation("h-calculus")
     report.add(
         "contracted generators match the h-level catalogue",

@@ -13,6 +13,7 @@ an algebra Element; the entry parity always equals the total parity of
 its indices.
 """
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -60,15 +61,10 @@ def _indices(n: int):
     return itertools.product(SuperIndex.values, repeat=n)
 
 
-_H_LINE: Optional[Presentation] = None
-
-
+@functools.cache
 def h_line() -> Presentation:
     """The one-generator algebra of the odd deformation parameter."""
-    global _H_LINE
-    if _H_LINE is None:
-        _H_LINE = Presentation("h-line", [("h", 1)], [(("h", "h"), Element.zero())])
-    return _H_LINE
+    return Presentation("h-line", [("h", 1)], [(("h", "h"), Element.zero())])
 
 
 class SuperTensor:
@@ -450,6 +446,11 @@ SUPERGROUP_RELATIONS = (
 )
 
 
+# presentations of the suites, built once per process like the catalogue
+_free_group = functools.cache(lambda gl: Presentation(f"{gl.name}|free", gl.generators))
+_regenerated_h_calculus = functools.cache(lambda: regenerate_calculus(build_K_h()))
+
+
 def rtt_report() -> VerificationReport:
     """Expand the reflection relation and compare with the supergroup.
 
@@ -468,7 +469,7 @@ def rtt_report() -> VerificationReport:
     for label, element in zip(labels, entries):
         nf = gl.normal_form(element)
         report.add(f"entry ({label}) reduces to 0", gl.show(nf), nf.is_zero())
-    free = Presentation(f"{gl.name}|free", gl.generators)
+    free = _free_group(gl)
     canonical = [_canonical_modulo_h2(e, free) for e in entries]
     for label in SUPERGROUP_RELATIONS:
         lhs, rhs = parse_relation(label, free)
@@ -661,7 +662,7 @@ def regenerate_calculus(t: SuperTensor) -> Presentation:
 def regeneration_report() -> VerificationReport:
     """Compare the regenerated rules with the calculus catalogue."""
     hc = get_presentation("h-calculus")
-    regenerated = regenerate_calculus(build_K_h())
+    regenerated = _regenerated_h_calculus()
     report = VerificationReport("regenerate", regenerated.name)
     hc_rules = hc.rules
     for lhs, rhs in regenerated.rules.items():

@@ -18,19 +18,20 @@ Most scalars met in practice are Laurent monomials c*q^k (k any integer),
 and those take exponent arithmetic, never a convolution or Euclid: a
 product of two is (c1*c2)*q^(k1+k2), built directly in canonical form; a
 monomial times a general N/D scales N and cancels only the power of q it
-can share with D or N, since N and D are coprime; division by a monomial
-multiplies by its inverse; sums of two monomials with the same exponent,
-negations and ``qpow`` go through the same constructor.  Every path keeps
-the canonical invariant.  Small integers, -16 to 16, are shared constants
-(``ZERO`` and ``ONE`` among them): ``sc(k)`` allocates nothing for them,
-and an arithmetic result equal to one of them is that constant.
+can share with D or N, since N and D are coprime; division multiplies by
+the divisor's inverse (for N/D, D/N made monic, with no gcd); sums of two
+monomials with the same exponent, negations and ``qpow`` go through the
+same constructor.  Every path keeps the canonical invariant.  Small
+integers, -16 to 16, are shared constants (``ZERO`` and ``ONE`` among
+them): ``sc(k)`` allocates nothing for them, and an arithmetic result equal
+to one of them is that constant.
 
-Products, sums (so differences) and negations are memoised by value: equal
-scalars are structurally identical, so each result is computed once, by the
-paths above, and kept in a module-level table keyed by its operands; an
-equal operand pair later gets the same result object.  A table that an
-insert would take past ``SCALAR_TABLE_CAP`` entries is cleared first.  A
-scalar caches its hash the first time it is hashed.
+Products (so quotients), sums (so differences) and negations are memoised
+by value: equal scalars are structurally identical, so each result is
+computed once, by the paths above, and kept in a module-level table keyed
+by its operands; an equal operand pair later gets the same result object.
+A table that an insert would take past ``SCALAR_TABLE_CAP`` entries is
+cleared first.  A scalar caches its hash the first time it is hashed.
 """
 
 from __future__ import annotations
@@ -472,7 +473,9 @@ class ScalarQ:
         m = other._monomial()
         if m is not None:
             return _product(self, _laurent(_G_ONE / m[0], -m[1]))
-        return _reduced(self.num * other.den, self.den * other.num)
+        # N, D coprime: D/N over lead(N) is the canonical inverse, with no gcd
+        lead = _G_ONE / other.num.lead
+        return _product(self, ScalarQ._canonical(other.den.scale(lead), other.num.scale(lead)))
 
     def __rtruediv__(self, other):
         return self._coerce(other) / self

@@ -182,6 +182,21 @@ def test_budget_error_names_start_word_length_and_work():
         runaway.normal_form(word("v", "v", "u"), max_steps=500)
 
 
+def test_budget_error_pins_the_work_units_spent():
+    # One swap rule and the one-term runaway rule: each product-table miss is
+    # charged the length of its word, whether its rewrite has one term or more.
+    plane = build_q_superplane()
+    with pytest.raises(NonTerminatingError, match=r"current word of length 53, 513 work units spent$"):
+        plane.normal_form(Element.word(("x",) * 60 + ("th",)), max_steps=500)
+    runaway = Presentation(
+        "runaway",
+        [("u", 0), ("v", 0)],
+        [(("v", "u"), word("u", "u", "v", "v"))],
+    )
+    with pytest.raises(NonTerminatingError, match=r"current word of length 33, 528 work units spent$"):
+        runaway.normal_form(word("v", "v", "u"), max_steps=500)
+
+
 def test_rewriting_cycle_raises():
     # The construction checks reject every cyclic rule set found so far, so
     # the cycle a*b -> b*a -> a*b is planted in the compiled pair table.

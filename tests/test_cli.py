@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from hsuperplane.algebra import Presentation
 from hsuperplane.cli import (
     SUITE_NAMES,
     UnknownSuiteError,
@@ -125,6 +126,22 @@ def test_run_suite_all_aggregates():
     assert len(report.entries) > 100
     with pytest.raises(UnknownSuiteError):
         run_suite("bogus")
+
+
+def test_second_verify_all_builds_no_presentation(monkeypatch):
+    # every presentation the suites use is built once per process, like the
+    # catalogue, so a warm pass constructs none
+    run_suite("all")
+    built = []
+    init = Presentation.__init__
+
+    def counting_init(self, name, *args, **kwargs):
+        built.append(name)
+        init(self, name, *args, **kwargs)
+
+    monkeypatch.setattr(Presentation, "__init__", counting_init)
+    assert run_suite("all").passed
+    assert built == []
 
 
 # -- limit and solve-consistency ---------------------------------------------------

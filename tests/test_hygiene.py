@@ -15,10 +15,13 @@
 * Every engine name that ``perfbench/tracing.py`` wraps in a span (its
   ``SPANS`` table and the suite functions of ``SUITE_FUNCTIONS``) still
   exists, so a rename cannot silently drop a traced metric.
+* Each bound that README "Rewriting" prints beside its name is the value of
+  that constant in the code.
 """
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -139,3 +142,25 @@ def test_traced_names_exist():
             missing.append(".".join(n for n in (module_name, owner, attr) if n))
     assert len(spans) > 20
     assert missing == []
+
+
+BOUNDS = {
+    "DEFAULT_MAX_STEPS": ("algebra", "Presentation"),
+    "PRODUCT_TABLE_CAP": ("algebra", "Presentation"),
+    "WORD_MEMO_CAP": ("algebra", None),
+    "SCALAR_TABLE_CAP": ("scalar", None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDS))
+def test_readme_prints_each_bound_as_in_the_code(name):
+    module_name, owner = BOUNDS[name]
+    scope = importlib.import_module(f"hsuperplane.{module_name}")
+    value = getattr(getattr(scope, owner) if owner else scope, name)
+    section = (ROOT / "README.md").read_text().split("### Rewriting", 1)[1]
+    quoted = rf"`(?:\w+\.)?{name}`"
+    # "`Owner.NAME` (1,234)" and "1,234 work units (`NAME`"
+    printed = re.findall(rf"{quoted} \(([\d,]+)\)", section)
+    printed += re.findall(rf"([\d,]+)[^.()]*\({quoted}", section)
+    assert printed
+    assert {int(text.replace(",", "")) for text in printed} == {value}

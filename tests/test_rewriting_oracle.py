@@ -9,8 +9,10 @@ element, and be linear.  The leftmost and rightmost strategies must agree
 on random words for every catalogue entry, and a presentation whose
 product table and cache were filled by earlier calls must give the normal
 forms of a freshly built one.  A non-confluent presentation pins down the
-leftmost semantics, where strategies disagree.  ``multiply`` must equal the
-normal form of the free product and normalise exactly its words.
+leftmost semantics, where strategies disagree.  A planted presentation
+whose one-term rules carry non-unit coefficients checks the single-term
+rewrites.  ``multiply`` must equal the normal form of the free product and
+normalise exactly its words.
 """
 
 import pytest
@@ -19,7 +21,7 @@ from hypothesis import strategies as st
 
 from hsuperplane.algebra import Element, Presentation, word
 from hsuperplane.presentations import CATALOGUE_NAMES, get_presentation
-from hsuperplane.scalar import ONE, Q, sc
+from hsuperplane.scalar import I, ONE, Q, sc
 
 # derandomized, so the tier-1 run is deterministic; no example database on disk
 ORACLE = settings(derandomize=True, database=None, deadline=None, max_examples=80)
@@ -150,6 +152,46 @@ def test_non_confluent_presentation_keeps_leftmost_semantics():
     assert p.normal_form(vvu) == word("u", "u")
     assert p.normal_form(vvu) == plain_leftmost(p, vvu)
     assert p.normal_form(vvu, strategy="rightmost") == 4 * word("u", "u")
+
+
+def planted() -> Presentation:
+    """A confluent presentation whose one-term rules carry the coefficients
+    i, -i, q and 1/q and feed the two-term rule y*x = q*x*y + 1; s*s = q is a
+    one-term rule to the empty word and t*t = 0 a rewrite with no term."""
+    return Presentation(
+        "planted",
+        [("x", 0), ("y", 0), ("z", 0), ("w", 0), ("s", 1), ("t", 1)],
+        [
+            (("y", "x"), Q * word("x", "y") + ONE),
+            (("z", "x"), I * word("x", "z")),
+            (("z", "y"), -I * word("y", "z")),
+            (("w", "x"), Q * word("x", "w")),
+            (("w", "y"), Q**-1 * word("y", "w")),
+            (("w", "z"), I * word("z", "w")),
+            (("s", "s"), Element.scalar(Q)),
+        ],
+    )
+
+
+PLANTED = planted()
+
+
+def test_planted_presentation_is_confluent():
+    assert planted().check_confluence().passed
+
+
+@settings(ORACLE, max_examples=150)
+@given(st.lists(st.sampled_from("xyzwst"), max_size=6).map(tuple))
+def test_one_term_rewrites_keep_their_coefficients(w):
+    """Single-term rewrites are inserted without a ``_product`` frame; the
+    coefficient they carry must reach every word that the rewrite leads to,
+    in a fresh presentation and in one whose product table earlier words
+    filled."""
+    e = Element.word(w)
+    expected = plain_leftmost(PLANTED, e)
+    for p in (planted(), PLANTED):
+        assert p.normal_form(e) == expected
+        assert p.normal_form(e, strategy="rightmost") == expected
 
 
 # Factors of up to three letters keep every product short enough for the

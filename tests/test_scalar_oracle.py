@@ -8,7 +8,8 @@ Coefficients include Fractions and non-real Gaussian rationals.
 
 Products, sums and negations are kept in value-keyed tables, so each of
 them is checked on a miss, on the hit that follows and after the tables
-are cleared.
+are cleared.  Division by a non-monomial is a product with the divisor's
+inverse, so its result is stored too.
 """
 
 import operator
@@ -283,6 +284,34 @@ def test_memo_hit_matches_sympy(name, a, b):
         assert_canonical(result)
         assert_matches_sympy(result, expected)
     assert op(a, b) is again
+
+
+# divisors N/D that are not Laurent monomials, some with a monomial numerator
+nonmonomial_divisors = st.one_of(
+    quotients(),
+    st.builds(
+        lambda c, k, den: ScalarQ(PolyQ([0] * k + [c]), den),
+        nonzero_gaussians,
+        st.integers(0, 3),
+        polys.filter(lambda p: not p.is_zero()),
+    ),
+).filter(lambda s: not s.is_zero() and s._monomial() is None)
+
+
+@settings(ORACLE, max_examples=60)
+@given(a=scalars, b=nonmonomial_divisors)
+def test_division_by_a_quotient_matches_sympy(a, b):
+    """a / b is a times the inverse D/N of b, built with no gcd; the product
+    is memoised, so an equal but distinct divisor gets the stored object."""
+    clear_tables()
+    result = a / b
+    assert_canonical(result)
+    assert_matches_sympy(result, OPS["truediv"][1](sym_scalar(a), sym_scalar(b)))
+    assert_shared_if_small_int(result)
+    inverse = ONE / b
+    assert_canonical(inverse)
+    assert_matches_sympy(inverse, sym_scalar(b)[::-1])
+    assert a / ScalarQ(b.num, b.den) is result
 
 
 def equal_values(g):
