@@ -352,7 +352,6 @@ class Presentation:
                 gname, parity = spec.name, spec.parity
             else:
                 gname, parity = spec
-                parity = {"even": 0, "odd": 1}.get(parity, parity)
             if not gname or not gname.isidentifier() or gname in _RESERVED_NAMES:
                 raise UnknownGeneratorError(f"bad generator name {gname!r}")
             if parity not in (0, 1):

@@ -9,16 +9,17 @@ Grammar (whitespace between tokens is ignored):
     base     := name | integer | '(' expr ')'
 
 The product sign is mandatory between factors.  ``q`` and ``i`` always denote
-the deformation parameter and the imaginary unit; every other name must be a
-generator of the presentation in scope.  Negative powers and division are
-only defined for scalar-valued subexpressions, so printed coefficients like
-``q^-1`` read back in.  Parsing produces free elements; nothing is rewritten.
+the deformation parameter and the imaginary unit, ``parse_rule`` may name more
+scalar constants, and every other name must be a generator of the presentation
+in scope.  Negative powers and division are only defined for scalar-valued
+subexpressions, so printed coefficients like ``q^-1`` read back in.  Parsing
+produces free elements; nothing is rewritten.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Mapping, Optional
 
 from .algebra import Element, Presentation, RuleError
 from .scalar import I, ONE, Q, ScalarQ
@@ -80,12 +81,16 @@ def _tokenize(text: str) -> List[_Token]:
     return tokens
 
 
+_CONSTANTS = {"q": Q, "i": I}
+
+
 class _Parser:
-    def __init__(self, text: str, presentation: Optional[Presentation]):
+    def __init__(self, text: str, presentation: Optional[Presentation], scalars=None):
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.presentation = presentation
+        self.constants = {**_CONSTANTS, **scalars} if scalars else _CONSTANTS
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -176,10 +181,8 @@ class _Parser:
             return Element.scalar(int(tok.text))
         if tok.kind == "NAME":
             self.advance()
-            if tok.text == "q":
-                return Element.scalar(Q)
-            if tok.text == "i":
-                return Element.scalar(I)
+            if tok.text in self.constants:
+                return Element.scalar(self.constants[tok.text])
             if self.presentation is not None and self.presentation.has_generator(tok.text):
                 return Element.generator(tok.text)
             raise UnknownSymbolError(tok.text, tok.pos)
@@ -203,12 +206,16 @@ def parse_relation(text: str, presentation: Presentation) -> tuple[Element, Elem
     return _Parser(text, presentation).relation()
 
 
-def parse_rule(text: str, presentation: Presentation) -> tuple[tuple, Element]:
+def parse_rule(
+    text: str, presentation: Presentation, scalars: Optional[Mapping[str, ScalarQ]] = None
+) -> tuple[tuple, Element]:
     """Parse ``lhs = rhs`` into a rewrite rule (lhs word, rhs element).
 
-    The left side must be one word with factor 1; otherwise RuleError.
+    ``scalars`` names further scalar constants, on top of q and i, for this
+    call only.  The left side must be one word with factor 1; otherwise
+    RuleError.
     """
-    lhs, rhs = parse_relation(text, presentation)
+    lhs, rhs = _Parser(text, presentation, scalars).relation()
     if lhs.term_count() != 1:
         raise RuleError("rule left side must be one word")
     ((w, coeff),) = lhs.items()

@@ -10,8 +10,9 @@ The central objects are rewrite-rule presentations of:
 * the h-deformed super-Heisenberg algebra and the q-deformed
   super-oscillator algebra realized inside the calculi.
 
-The fixed entries are written as the ``lhs = rhs`` text they print (the
-``*_RELATIONS`` tuples) and read by ``expr.parse_rule``.
+Every entry but ``q-calculus`` (the h -> 0 specialization of ``qh-calculus``)
+is written as ``lhs = rhs`` text (the ``*_RELATIONS`` tuples) and read by
+``expr.parse_rule``; ``QH_CALCULUS_RELATIONS`` names the solver's coefficients.
 
 The module also houses the linear solver that fixes the calculus
 coefficients from the d-consistency equations, and named verification
@@ -25,7 +26,7 @@ import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .scalar import ONE, ZERO, Q, ScalarQ, qpow, sc
+from .scalar import ONE, ZERO, Q, ScalarQ, qpow
 from .algebra import (
     AlgebraError,
     AlgebraMorphism,
@@ -33,7 +34,6 @@ from .algebra import (
     InvolutionSpec,
     Presentation,
     gen,
-    word,
 )
 from .expr import parse_relation, parse_rule
 from .reports import VerificationReport
@@ -238,12 +238,12 @@ Q_SUPERPLANE_RELATIONS = (
 )
 
 
-def _from_relations(name: str, generators, relations, **options) -> Presentation:
-    """A fresh presentation whose rules are read from ``lhs = rhs`` texts."""
+def _from_relations(name: str, generators, relations, scalars=None, **options) -> Presentation:
+    """A fresh presentation whose rules are read from ``lhs = rhs`` texts,
+    with ``scalars`` naming further constants of the texts."""
     free = Presentation(name, generators)
-    return Presentation(
-        name, generators, [parse_rule(text, free) for text in relations], **options
-    )
+    rules = [parse_rule(text, free, scalars) for text in relations]
+    return Presentation(name, generators, rules, **options)
 
 
 def build_q_superplane() -> Presentation:
@@ -255,101 +255,57 @@ def build_q_superplane() -> Presentation:
     return _from_relations("q-superplane", PLANE_GENERATORS, Q_SUPERPLANE_RELATIONS)
 
 
-def build_qh_rules(A: Optional[ScalarQ] = None, *, name: str = "qh-calculus") -> Presentation:
+# The mixed sectors are written in the consistency solution's coefficients
+# (B, F11, F12, F21, F22) and the free exchange coefficient A, by name.
+QH_CALCULUS_RELATIONS = (
+    # coordinates
+    "x*th = q*th*x + h*x^2",
+    "th^2 = -h*th*x",
+    # differentials
+    "dx^2 = 0",
+    "dx*dth = q^-1*dth*dx",
+    # coordinates with differentials
+    "x*dx = A*dx*x",
+    "x*dth = F11*dth*x + F12*dx*th + (A - F11 - F12)/(q - 1)*h*dx*x",
+    "th*dx = F21*dx*th + F22*dth*x - (A + F21 + F22)/(q - 1)*h*dx*x",
+    "th*dth = B*dth*th - (B + F12 + F21)/(q - 1)*h*dx*th + (B - F11 - F22)/(q - 1)*h*dth*x",
+    # derivatives
+    "pth*px = q*px*pth",
+    "pth^2 = 0",
+    # derivatives with coordinates
+    "px*x = 1 + A*x*px + F12*th*pth - (A - F11 - F12)/(q - 1)*h*x*pth",
+    "px*th = -F21*th*px - (A + F21 + F22)/(q - 1)*h*x*px - (1 + F12 + F21)/(q - 1)*h*th*pth",
+    "pth*x = F11*x*pth",
+    "pth*th = 1 - th*pth - F22*x*px - (1 - F11 - F22)/(q - 1)*h*x*pth",
+    # derivatives with differentials.  This sector exchanges with the
+    # inverse coefficients 1/A and 1/q: together with the sectors above
+    # that is the unique choice closing every length-3 critical pair
+    # (any other collapses the algebra, e.g. forcing dx = 0), and its
+    # q -> 1 limit agrees with the h-level calculus.
+    "px*dx = A^-1*dx*px + (A^-1 - q^-1)/(q - 1)*h*dx*pth",
+    "px*dth = q^-1*dth*px + q^-1*h*dx*px + q^-1*h*dth*pth",
+    "pth*dx = -q^-1*dx*pth",
+    "pth*dth = dth*pth + (1 - A^-1)*dx*px - (A^-1 - q^-1)/(q - 1)*h*dx*pth",
+    # odd deformation parameter
+    "h^2 = 0",
+)
+
+
+def build_qh_rules() -> Presentation:
     """The full calculus carrying both q and h.
 
     Coordinate, differential and derivative sectors are fixed; the mixed
-    sectors are instantiated from the consistency solution, with the free
-    exchange coefficient ``A`` (default q^2, the value for which the
-    differential-derivative sector below is valid).
+    sectors take their coefficients from the consistency solution, with the
+    free exchange coefficient A = q^2, the value for which the
+    differential-derivative sector is valid.
     """
     solution = solve_consistency()
-    if A is None:
-        A = solution.A
-    elif not isinstance(A, ScalarQ):
-        A = sc(A)
-    B, F11, F12, F21, F22 = (getattr(solution, u) for u in CONSISTENCY_UNKNOWNS)
-    c = ONE / (Q - ONE)
-    one = Element.scalar(1)
-    rules = [
-        # coordinates
-        (("x", "th"), Q * word("th", "x") + word("h", "x", "x")),
-        (("th", "th"), -word("h", "th", "x")),
-        # differentials
-        (("dx", "dx"), Element.zero()),
-        (("dx", "dth"), qpow(-1) * word("dth", "dx")),
-        # coordinates with differentials
-        (("x", "dx"), A * word("dx", "x")),
-        (
-            ("x", "dth"),
-            F11 * word("dth", "x")
-            + F12 * word("dx", "th")
-            + Element.word(("h", "dx", "x"), c * (A - F11 - F12)),
-        ),
-        (
-            ("th", "dx"),
-            F21 * word("dx", "th")
-            + F22 * word("dth", "x")
-            - Element.word(("h", "dx", "x"), c * (A + F21 + F22)),
-        ),
-        (
-            ("th", "dth"),
-            B * word("dth", "th")
-            - Element.word(("h", "dx", "th"), c * (B + F12 + F21))
-            + Element.word(("h", "dth", "x"), c * (B - F11 - F22)),
-        ),
-        # derivatives
-        (("pth", "px"), Q * word("px", "pth")),
-        (("pth", "pth"), Element.zero()),
-        # derivatives with coordinates
-        (
-            ("px", "x"),
-            one
-            + A * word("x", "px")
-            + F12 * word("th", "pth")
-            - Element.word(("h", "x", "pth"), c * (A - F11 - F12)),
-        ),
-        (
-            ("px", "th"),
-            -F21 * word("th", "px")
-            - Element.word(("h", "x", "px"), c * (A + F21 + F22))
-            - Element.word(("h", "th", "pth"), c * (ONE + F12 + F21)),
-        ),
-        (("pth", "x"), F11 * word("x", "pth")),
-        (
-            ("pth", "th"),
-            one
-            - word("th", "pth")
-            - F22 * word("x", "px")
-            - Element.word(("h", "x", "pth"), c * (ONE - F11 - F22)),
-        ),
-        # derivatives with differentials.  This sector exchanges with the
-        # inverse coefficients 1/A and 1/q: together with the sectors above
-        # that is the unique choice closing every length-3 critical pair
-        # (any other collapses the algebra, e.g. forcing dx = 0), and its
-        # q -> 1 limit agrees with the h-level calculus.
-        (
-            ("px", "dx"),
-            (ONE / A) * word("dx", "px") + Element.word(("h", "dx", "pth"), c * (ONE / A - qpow(-1))),
-        ),
-        (
-            ("px", "dth"),
-            qpow(-1) * word("dth", "px")
-            + qpow(-1) * word("h", "dx", "px")
-            + qpow(-1) * word("h", "dth", "pth"),
-        ),
-        (("pth", "dx"), -qpow(-1) * word("dx", "pth")),
-        (
-            ("pth", "dth"),
-            word("dth", "pth")
-            + (ONE - ONE / A) * word("dx", "px")
-            - Element.word(("h", "dx", "pth"), c * (ONE / A - qpow(-1))),
-        ),
-        # odd deformation parameter
-        (("h", "h"), Element.zero()),
-    ]
-    return Presentation(
-        name, CALCULUS_GENERATORS, rules, derivatives=CALCULUS_DERIVATIVES
+    return _from_relations(
+        "qh-calculus",
+        CALCULUS_GENERATORS,
+        QH_CALCULUS_RELATIONS,
+        scalars={u: getattr(solution, u) for u in ("A",) + CONSISTENCY_UNKNOWNS},
+        derivatives=CALCULUS_DERIVATIVES,
     )
 
 
@@ -401,7 +357,6 @@ GL_H11_RELATIONS = (
     "gm^2 = h*gm*dd - h*gm*a",
     "gm*bt = -bt*gm + h*bt*dd - h*bt*a",
     "dd*a = a*dd - h*bt*a + h*bt*dd",
-    "h^2 = 0",
 )
 
 
@@ -412,7 +367,7 @@ def build_gl_h11() -> Presentation:
     Pairs without an explicit rule graded-commute, which covers bt with a
     and dd, and the square of bt.
     """
-    return _from_relations("gl-h11", GL_GENERATORS, GL_H11_RELATIONS)
+    return _from_relations("gl-h11", GL_GENERATORS, GL_H11_RELATIONS + ("h^2 = 0",))
 
 
 HEISENBERG_RELATIONS = (
@@ -461,55 +416,34 @@ def build_q_oscillator() -> Presentation:
 # -- coaction product algebra ----------------------------------------------
 
 
-def _inverse_swap_rule(
-    mod_h: Presentation,
-    base_pair: tuple[str, str],
-    base_rhs: Element,
-    pair: tuple[str, str],
-) -> Element:
-    """Exchange rule for a pair with one letter inverted.
-
-    From a stored rule  base = kappa * (swapped base) + h * S  with S free
-    of h, conjugating by the inverse letter ui gives
-
-        v * ui = kappa^-1 * ui * v - kappa^-1 * h * (ui * S * ui)   and
-        ui * v = kappa^-1 * v * ui - kappa^-1 * h * (ui * S * ui)
-
-    for the two descending pairs obtained by inverting one side.  The
-    conjugated correction is reduced modulo h, which is exact because it
-    multiplies h and h^2 = 0.
-    """
-    swapped = (base_pair[1], base_pair[0])
-    kappa = base_rhs.coefficient(swapped)
-    if kappa.is_zero():
-        raise AlgebraError(f"base rule for {base_pair} has no swap term")
-    s_terms = {}
-    for w, coeff in base_rhs.items():
-        if w == swapped:
-            continue
-        if not w or w[0] != "h":
-            raise AlgebraError(f"base rule for {base_pair} is not h-split")
-        s_terms[w[1:]] = coeff
-    correction = Element(s_terms)
-    ui = pair[0] if pair[0] in ("ai", "ddi") else pair[1]
-    conjugated = mod_h.multiply(
-        mod_h.multiply(Element.generator(ui), correction), Element.generator(ui)
-    )
-    kinv = ONE / kappa
-    return Element.word((pair[1], pair[0]), kinv) - (
-        Element.generator("h") * conjugated
-    ).scale(kinv)
-
-
 COACTION_UNIT_RELATIONS = ("a*ai = 1", "ai*a = 1", "dd*ddi = 1", "ddi*dd = 1")
 
+# Exchange rules between an inverted diagonal letter and gm, dd or a.  From a
+# base rule for the letters u and v, with swap coefficient kappa and h*S the
+# rest (S free of h), conjugating by the inverse ui of u gives
+#
+#     v*ui = kappa^-1*ui*v - kappa^-1*h*(ui*S*ui)   and
+#     ui*v = kappa^-1*v*ui - kappa^-1*h*(ui*S*ui)
+#
+# for the two descending pairs, with ui*S*ui reduced modulo h, which is exact
+# because h^2 = 0.  The base rules are gl-h11's dd*a (for dd*ai and ddi*a),
+# gm*a (gm*ai) and dd*gm (ddi*gm), and dd*ai above (ddi*ai).
+COACTION_INVERSE_RELATIONS = (
+    "dd*ai = ai*dd + h*ai*bt - h*ai^2*bt*dd",
+    "gm*ai = h + ai*gm - h*ai*dd - h*ai^2*bt*gm",
+    "ddi*a = a*ddi - h*bt*ddi + h*a*bt*ddi^2",
+    "ddi*gm = h + gm*ddi - h*a*ddi + h*bt*gm*ddi^2",
+    "ddi*ai = ai*ddi + h*ai^2*bt*ddi - h*ai*bt*ddi^2",
+)
 
-def _coaction_rules(group_rules: list) -> list:
-    """The h-calculus rules, then ``group_rules``, then the unit rules of the
-    formal inverses ai, ddi."""
+
+def _coaction_rules(relations: tuple) -> list:
+    """The h-calculus rules, then ``relations`` read over the coaction
+    generators."""
     free = Presentation("coaction-free", COACTION_GENERATORS)
-    unit_rules = [parse_rule(text, free) for text in COACTION_UNIT_RELATIONS]
-    return list(get_presentation("h-calculus").rules.items()) + group_rules + unit_rules
+    return list(get_presentation("h-calculus").rules.items()) + [
+        parse_rule(text, free) for text in relations
+    ]
 
 
 def build_coaction_product() -> Presentation:
@@ -517,41 +451,16 @@ def build_coaction_product() -> Presentation:
 
     The group letters graded-commute with the plane letters (tensor-product
     sign rule).  Formal inverses ai, ddi of the even diagonal letters are
-    adjoined with two-sided unit rules, and the exchange rules between an
-    inverted letter and gm/dd/a are derived by conjugation; each derived
-    rule is re-verified by multiplying the inverse back in.
+    adjoined with two-sided unit rules and the exchange rules
+    ``COACTION_INVERSE_RELATIONS``; each of those is verified by
+    multiplying the inverse back in.
     """
-    gl_rules = [
-        (lhs, rhs)
-        for lhs, rhs in get_presentation("gl-h11").rules.items()
-        if lhs != ("h", "h")
-    ]
-    core = _coaction_rules(gl_rules)
-    partial = Presentation(
-        "coaction-core", COACTION_GENERATORS, core, derivatives=CALCULUS_DERIVATIVES
+    rules = _coaction_rules(
+        GL_H11_RELATIONS + COACTION_UNIT_RELATIONS + COACTION_INVERSE_RELATIONS
     )
-    mod_h = set_h_to_zero(partial, "coaction-core|h=0")
-    stored = partial.rules
-    derived: list[tuple[tuple[str, str], Element]] = []
-    for pair, base_pair in (
-        (("dd", "ai"), ("dd", "a")),
-        (("gm", "ai"), ("gm", "a")),
-        (("ddi", "a"), ("dd", "a")),
-        (("ddi", "gm"), ("dd", "gm")),
-    ):
-        derived.append(
-            (pair, _inverse_swap_rule(mod_h, base_pair, stored[base_pair], pair))
-        )
-    # ddi against ai rests on the freshly derived dd-ai rule
-    dd_ai_rhs = dict(derived)[("dd", "ai")]
-    derived.append(
-        (("ddi", "ai"), _inverse_swap_rule(mod_h, ("dd", "ai"), dd_ai_rhs, ("ddi", "ai")))
-    )
+    derived = rules[-len(COACTION_INVERSE_RELATIONS):]
     full = Presentation(
-        "coaction-product",
-        COACTION_GENERATORS,
-        core + derived,
-        derivatives=CALCULUS_DERIVATIVES,
+        "coaction-product", COACTION_GENERATORS, rules, derivatives=CALCULUS_DERIVATIVES
     )
     inverse_of = {"ai": "a", "ddi": "dd"}
     for pair, rhs in derived:
@@ -574,7 +483,7 @@ def _build_coaction_control() -> Presentation:
     return Presentation(
         "coaction-control",
         COACTION_GENERATORS,
-        _coaction_rules([]),
+        _coaction_rules(COACTION_UNIT_RELATIONS),
         derivatives=CALCULUS_DERIVATIVES,
     )
 

@@ -272,6 +272,31 @@ def build_R_h() -> SuperTensor:
 # -- embeddings and Yang-Baxter checks -------------------------------------------
 
 
+def _embedded(entries: dict, n: int, active: tuple, graded: bool = True) -> dict:
+    """Entries of a tensor placed on the ``active`` slots (0-based, ascending)
+    of an n-fold tensor product, with the identity on the other slots.
+
+    Graded, each passive index contributes (-1) to the power of its parity
+    times the parities of the active legs to its right, upper and lower.
+    """
+    par = SuperIndex.parity
+    passive = [s for s in range(n) if s not in active]
+    right_of = [(s, [a for a in active if a > s]) for s in passive]
+    out = {}
+    for idx in _indices(2 * n):
+        if any(idx[s] != idx[n + s] for s in passive):
+            continue
+        base = entries.get(tuple(idx[a] for a in active) + tuple(idx[n + a] for a in active))
+        if base is None or base.is_zero():
+            continue
+        if graded and sum(
+            par(idx[s]) * (par(idx[a]) + par(idx[n + a])) for s, right in right_of for a in right
+        ) % 2:
+            base = -base
+        out[idx] = base
+    return out
+
+
 def embed(t: SuperTensor, slot: int, graded: bool = True) -> SuperTensor:
     """Embed a rank-4 tensor into slots (12), (13) or (23) of a triple product.
 
@@ -282,29 +307,8 @@ def embed(t: SuperTensor, slot: int, graded: bool = True) -> SuperTensor:
         raise RankMismatchError(f"embedding needs a rank-4 tensor, got rank {t.rank}")
     if slot not in (12, 13, 23):
         raise ValueError(f"slot must be one of 12, 13, 23, got {slot!r}")
-    par = SuperIndex.parity
-    entries = {}
-    for a, b, c, d, e, f in _indices(6):
-        if slot == 12:
-            if c != f:
-                continue
-            base, exponent = t.entry((a, b, d, e)), 0
-        elif slot == 13:
-            if b != e:
-                continue
-            base, exponent = t.entry((a, c, d, f)), par(b) * (par(c) + par(f))
-        else:
-            if a != d:
-                continue
-            base, exponent = (
-                t.entry((b, c, e, f)),
-                par(a) * (par(b) + par(c) + par(e) + par(f)),
-            )
-        if base.is_zero():
-            continue
-        sign = (-1) ** exponent if graded else 1
-        entries[(a, b, c, d, e, f)] = base.scale(sc(sign))
-    return SuperTensor(t.presentation, 6, entries)
+    active = {12: (0, 1), 13: (0, 2), 23: (1, 2)}[slot]
+    return SuperTensor(t.presentation, 6, _embedded(t.entries, 3, active, graded))
 
 
 def ybe_check(t: SuperTensor, form: str, graded: bool = True) -> bool:
@@ -364,23 +368,6 @@ def build_T() -> SuperMatrix:
     return SuperMatrix(gen("a"), gen("bt"), gen("gm"), gen("dd"))
 
 
-def _t_slot_entries(T: SuperMatrix, slot: int) -> dict:
-    """T1 = T x I and T2 = I x T with the graded tensor rule."""
-    par = SuperIndex.parity
-    entries = {}
-    for i, j, k, l in _indices(4):
-        if slot == 1:
-            if j != l:
-                continue
-            entries[(i, j, k, l)] = T.entry(i, k)
-        else:
-            if i != k:
-                continue
-            sign = (-1) ** (par(i) * (par(j) + par(l)))
-            entries[(i, j, k, l)] = T.entry(j, l).scale(sc(sign))
-    return {idx: e for idx, e in entries.items() if not e.is_zero()}
-
-
 def _free_product(a: dict, b: dict, n: int) -> dict:
     """Matrix product of rank-2n entry maps in the free algebra (no rewriting).
 
@@ -407,8 +394,9 @@ def rtt_expand(t: SuperTensor, T: Optional[SuperMatrix] = None) -> list:
         raise RankMismatchError(f"reflection relation needs rank 4, got {t.rank}")
     if T is None:
         T = build_T()
-    t1 = _t_slot_entries(T, 1)
-    t2 = _t_slot_entries(T, 2)
+    matrix = {(i, k): T.entry(i, k) for i, k in _indices(2)}
+    t1 = _embedded(matrix, 2, (0,))
+    t2 = _embedded(matrix, 2, (1,))
     k = dict(t.entries)
     left = _free_product(_free_product(k, t1, 2), t2, 2)
     right = _free_product(_free_product(t1, t2, 2), k, 2)

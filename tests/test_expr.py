@@ -170,6 +170,24 @@ def test_parse_rule_needs_one_word_with_factor_one(plane, text, message):
         parse_rule(text, plane)
 
 
+def test_parse_rule_reads_named_scalars(plane):
+    lhs, rhs = parse_rule("x*th = A*th*x", plane, {"A": Q * Q})
+    assert lhs == ("x", "th")
+    assert rhs == Q * Q * word("th", "x")
+    # q and i still resolve next to the named scalars
+    _, rhs = parse_rule("x*th = (A - q)*i*th*x", plane, {"A": Q * Q})
+    assert rhs == (Q * Q - Q) * I * word("th", "x")
+
+
+def test_named_scalars_last_for_one_call_only(plane):
+    parse_rule("x*th = A*th*x", plane, {"A": Q * Q})
+    for _ in range(2):
+        with pytest.raises(UnknownSymbolError) as err:
+            parse_rule("x*th = A*th*x", plane)
+        assert err.value.name == "A"
+        assert err.value.position == 7
+
+
 def test_parse_scalar():
     assert parse_scalar("q^2-1") == Q * Q - 1
     assert parse_scalar("(q^2-1)/(q-1)") == Q + 1

@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +39,7 @@ from hsuperplane.presentations import (
 from hsuperplane.scalar import I, ONE, PoleAtOne, Q, ScalarQ, ZERO, qpow, sc
 
 C = ONE / (Q - ONE)
+DATA = Path(__file__).resolve().parent / "data"
 
 
 # -- consistency coefficients ---------------------------------------------------
@@ -456,6 +458,38 @@ def test_coaction_product_unit_and_derived_rules():
     assert rules[("dd", "ai")].coefficient(("ai", "dd")) == ONE
     assert rules[("ddi", "ai")].coefficient(("ai", "ddi")) == ONE
     assert p.normal_form(word("ai", "a", "x")) == gen("x")
+
+
+@pytest.mark.parametrize(
+    "wrong, pair",
+    [
+        ("dd*ai = ai*dd - h*ai*bt - h*ai^2*bt*dd", "('dd', 'ai')"),
+        ("gm*ai = ai*gm - h*ai*dd - h*ai^2*bt*gm", "('gm', 'ai')"),
+        ("ddi*ai = ai*ddi - h*ai^2*bt*ddi - h*ai*bt*ddi^2", "('ddi', 'ai')"),
+    ],
+)
+def test_coaction_unit_check_rejects_a_wrong_inverse_rule(monkeypatch, wrong, pair):
+    lhs = wrong.split(" = ")[0]
+    relations = tuple(
+        wrong if text.startswith(lhs + " ") else text
+        for text in presentations.COACTION_INVERSE_RELATIONS
+    )
+    assert wrong in relations
+    monkeypatch.setattr(presentations, "COACTION_INVERSE_RELATIONS", relations)
+    with pytest.raises(AlgebraError, match="fails its unit check") as err:
+        presentations.build_coaction_product()
+    assert pair in str(err.value)
+
+
+def test_catalogue_rules_match_golden_file():
+    # data/catalogue_rules.txt holds each entry's name as "[name]", then its
+    # rules in order as "lhs = rhs"
+    got = []
+    for name in CATALOGUE_NAMES:
+        p = get_presentation(name)
+        got.append(f"[{name}]\n")
+        got.extend(f"{p.show(Element.word(lhs))} = {p.show(rhs)}\n" for lhs, rhs in p.rules.items())
+    assert "".join(got) == (DATA / "catalogue_rules.txt").read_text()
 
 
 # -- verification reports ---------------------------------------------------------
