@@ -43,16 +43,7 @@ from .presentations import (
     solve_consistency,
 )
 from .reports import VerificationReport
-from .rmatrix import (
-    build_K_h,
-    build_K_hq,
-    build_Khat_h,
-    build_P,
-    build_R_h,
-    regeneration_report,
-    rtt_report,
-    ybe_report,
-)
+from .rmatrix import TENSOR_BUILDERS, regeneration_report, rtt_report, ybe_report
 from .differential import dsquared_report, operator_report
 from .scalar import DivisionByZero, PoleAtOne
 
@@ -77,14 +68,6 @@ _SUITES = {
 }
 
 SUITE_NAMES = tuple(_SUITES) + ("all",)
-
-_TENSORS = {
-    "P": build_P,
-    "Khq": build_K_hq,
-    "Kh": build_K_h,
-    "Khat": build_Khat_h,
-    "Rh": build_R_h,
-}
 
 
 def run_suite(name: str) -> VerificationReport:
@@ -211,7 +194,7 @@ def _cmd_solve_consistency() -> int:
 
 
 def _cmd_tensor(args) -> int:
-    tensor = _TENSORS[args.name]()
+    tensor = TENSOR_BUILDERS[args.name]()
     print(tensor.to_json(indent=2) if args.json else tensor.to_grid())
     return 0
 
@@ -243,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     tensor = commands.add_parser("tensor", help="render a deformation matrix")
     tensor.add_argument("action", choices=("print",))
-    tensor.add_argument("name", choices=tuple(_TENSORS))
+    tensor.add_argument("name", choices=tuple(TENSOR_BUILDERS))
     tensor.add_argument("--json", action="store_true")
 
     return parser

@@ -124,11 +124,16 @@ CONSISTENCY_EQUATIONS = (
 
 
 @functools.cache
+def _relation_forms(texts: tuple[str, ...], p: Presentation) -> tuple[Element, ...]:
+    """lhs - rhs of each ``lhs = rhs`` text, read in ``p`` once per process."""
+    return tuple(left - right for left, right in (parse_relation(t, p) for t in texts))
+
+
+@functools.cache
 def _consistency_forms() -> tuple[Element, ...]:
     """lhs - rhs of each of ``CONSISTENCY_EQUATIONS``, parsed once."""
     unknowns = Presentation("consistency-unknowns", [(u, 0) for u in CONSISTENCY_UNKNOWNS])
-    sides = (parse_relation(text, unknowns) for text in CONSISTENCY_EQUATIONS)
-    return tuple(left - right for left, right in sides)
+    return _relation_forms(CONSISTENCY_EQUATIONS, unknowns)
 
 
 def consistency_system() -> tuple[list[list[ScalarQ]], list[ScalarQ], list[str]]:
@@ -477,17 +482,6 @@ def build_coaction_product() -> Presentation:
     return full
 
 
-@functools.cache
-def _build_coaction_control() -> Presentation:
-    """Same product algebra but with undeformed (graded-commuting) group letters."""
-    return Presentation(
-        "coaction-control",
-        COACTION_GENERATORS,
-        _coaction_rules(COACTION_UNIT_RELATIONS),
-        derivatives=CALCULUS_DERIVATIVES,
-    )
-
-
 _COACTION_IMAGES = {
     "x": "a*x + bt*th",
     "th": "gm*x + dd*th",
@@ -503,6 +497,25 @@ def coaction_images() -> dict[str, Element]:
     """Images of the calculus generators under the supergroup coaction."""
     product = get_presentation("coaction-product")
     return {g: product.parse(text) for g, text in _COACTION_IMAGES.items()}
+
+
+@functools.cache
+def _coaction_maps() -> tuple[AlgebraMorphism, AlgebraMorphism]:
+    """The coaction delta, and the control map into the same product algebra
+    with undeformed (graded-commuting) group letters; built once per process
+    so that their word memos persist across passes, as ``d_memo`` does."""
+    hc = get_presentation("h-calculus")
+    images = coaction_images()
+    control = Presentation(
+        "coaction-control",
+        COACTION_GENERATORS,
+        _coaction_rules(COACTION_UNIT_RELATIONS),
+        derivatives=CALCULUS_DERIVATIVES,
+    )
+    return (
+        AlgebraMorphism(hc, get_presentation("coaction-product"), images),
+        AlgebraMorphism(hc, control, images),
+    )
 
 
 # -- contraction pipeline ------------------------------------------------------
@@ -603,35 +616,44 @@ def build_heisenberg() -> tuple[Presentation, VerificationReport]:
     The map of the Heisenberg generators onto the hatted operators carries
     lhs - rhs of each of ``HEISENBERG_RELATIONS`` into the calculus, where
     it must vanish.  The abstract presentation they satisfy is returned
-    together with the report.
+    together with the report.  The map and the relations are built once
+    per process, the images and normal forms on every call.
     """
+    hatted = _hatted()
+    forms = _relation_forms(HEISENBERG_RELATIONS, hatted.source)
+    relations = [(text, hatted(form)) for text, form in zip(HEISENBERG_RELATIONS, forms)]
+    report = verify_presentation(hatted.target, relations, suite="heisenberg")
+    return hatted.source, report
+
+
+@functools.cache
+def _hatted() -> AlgebraMorphism:
+    """The Heisenberg generators onto the hatted operators of the h-calculus."""
     hc = get_presentation("h-calculus")
-    heisenberg = get_presentation("h-heisenberg")
     operators = {"h": "h", "x": "x", "th": "th + h*x", "px": "i*(px - h*pth)", "pth": "pth"}
-    hatted = AlgebraMorphism(
-        heisenberg, hc, {g: hc.parse(text) for g, text in operators.items()}
-    )
-    relations = []
-    for text in HEISENBERG_RELATIONS:
-        lhs, rhs = parse_relation(text, heisenberg)
-        relations.append((text, hatted(lhs - rhs)))
-    report = verify_presentation(hc, relations, suite="heisenberg")
-    return heisenberg, report
+    images = {g: hc.parse(text) for g, text in operators.items()}
+    return AlgebraMorphism(get_presentation("h-heisenberg"), hc, images)
+
+
+@functools.cache
+def _oscillators() -> tuple[Element, ...]:
+    """A+, A, B+ and B in the q,h-level calculus, parsed once per process."""
+    p = get_presentation("qh-calculus")
+    return tuple(p.parse(t) for t in ("x", "px - h*pth/(q - 1)", "th + h*x/(q - 1)", "pth"))
 
 
 def oscillator_check() -> VerificationReport:
     """Verify the super-oscillator relations inside the q,h-level calculus.
 
     The oscillators are A+ = x, A = px - h/(q-1)*pth, B+ = th + h/(q-1)*x,
-    B = pth.  Every relation holds with residual exactly 0; the entries
-    record the h-degree of each side's normal form to witness that the
-    h-dependence cancels (it never exceeds 1 in the intermediates).
+    B = pth, parsed once per process.  Every relation holds with residual
+    exactly 0; the entries record the h-degree of each side's normal form
+    to witness that the h-dependence cancels (it never exceeds 1 in the
+    intermediates).
     """
     p = get_presentation("qh-calculus")
     one = Element.scalar(1)
-    a_plus, a_op, b_plus, b_op = (
-        p.parse(text) for text in ("x", "px - h*pth/(q - 1)", "th + h*x/(q - 1)", "pth")
-    )
+    a_plus, a_op, b_plus, b_op = _oscillators()
     report = VerificationReport("oscillator", p.name)
 
     def entry(label: str, lhs: Element, rhs: Element) -> None:
@@ -703,8 +725,12 @@ def build_star() -> InvolutionSpec:
     return InvolutionSpec(p, {g: p.parse(text) for g, text in _STAR_IMAGES.items()})
 
 
+# the star of the suites, built once per process so that its word memo persists
+_star = functools.cache(build_star)
+
+
 def apply_star(element: Element) -> Element:
-    return build_star()(element)
+    return _star()(element)
 
 
 def _rule_relation(p: Presentation, lhs: tuple[str, str]) -> tuple[str, Element]:
@@ -714,9 +740,10 @@ def _rule_relation(p: Presentation, lhs: tuple[str, str]) -> tuple[str, Element]
 
 
 def involution_check() -> VerificationReport:
-    """Check that the star is involutive and preserves the invariant sectors."""
-    p = get_presentation("h-calculus")
-    star = build_star()
+    """Check that the star is involutive and preserves the invariant sectors;
+    the star is built once per process, its images on every call."""
+    star = _star()
+    p = star.presentation
     report = VerificationReport("involution", p.name)
     report.add(
         "star applied twice fixes every generator", "", star.is_involutive()
@@ -735,12 +762,11 @@ def coaction_check() -> VerificationReport:
     extension to differentials the coordinate-differential relations, and
     its extension to derivatives the derivative-coordinate relations.  A
     control run with undeformed group letters fails, with the residual
-    proportional to h.
+    proportional to h.  Both maps are built once per process; every residual
+    is computed on every call.
     """
-    hc = get_presentation("h-calculus")
-    product = get_presentation("coaction-product")
-    images = coaction_images()
-    delta = AlgebraMorphism(hc, product, images)
+    delta, control_map = _coaction_maps()
+    hc, product = delta.source, delta.target
     report = VerificationReport("coaction", product.name)
     sectors = (
         ("coordinates", (("x", "th"), ("th", "th"))),
@@ -753,15 +779,14 @@ def coaction_check() -> VerificationReport:
             residual = delta(relation)
             label = f"{sector}: delta preserves {text}"
             report.add(label, product.show(residual), residual.is_zero())
-    control = _build_coaction_control()
     text, relation = _rule_relation(hc, ("x", "th"))
-    residual0 = AlgebraMorphism(hc, control, images)(relation)
+    residual0 = control_map(relation)
     control_ok = (not residual0.is_zero()) and all(
         "h" in w for w in residual0.words()
     )
     report.add(
         f"control: undeformed group letters break {text}",
-        control.show(residual0),
+        control_map.target.show(residual0),
         control_ok,
         expected="nonzero residual, every term carrying h",
     )

@@ -20,11 +20,11 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .algebra import AlgebraError, Element, Presentation, _concatenations, gen, word
-from .expr import parse_relation
 from .presentations import (
     CALCULUS_DERIVATIVES,
     CALCULUS_GENERATORS,
     InconsistentSystemError,
+    _relation_forms,
     get_presentation,
     solve_linear,
 )
@@ -269,6 +269,22 @@ def build_R_h() -> SuperTensor:
     return build_P() * build_Khat_h()
 
 
+TENSOR_BUILDERS = {
+    "P": build_P,
+    "Khq": build_K_hq,
+    "Kh": build_K_h,
+    "Khat": build_Khat_h,
+    "Rh": build_R_h,
+}
+
+
+@functools.cache
+def _suite_tensor(name: str) -> SuperTensor:
+    """The tensor of ``TENSOR_BUILDERS[name]`` for the suites, built once per
+    process; the builders return fresh tensors, whose entries are mutable."""
+    return TENSOR_BUILDERS[name]()
+
+
 # -- embeddings and Yang-Baxter checks -------------------------------------------
 
 
@@ -330,7 +346,7 @@ def ybe_check(t: SuperTensor, form: str, graded: bool = True) -> bool:
 
 def inverse_check() -> bool:
     """K_h and R_h are two-sided inverses of each other."""
-    k, r = build_K_h(), build_R_h()
+    k, r = _suite_tensor("Kh"), _suite_tensor("Rh")
     identity = SuperTensor.identity(h_line(), 4)
     return k * r == identity and r * k == identity
 
@@ -436,7 +452,7 @@ SUPERGROUP_RELATIONS = (
 
 # presentations of the suites, built once per process like the catalogue
 _free_group = functools.cache(lambda gl: Presentation(f"{gl.name}|free", gl.generators))
-_regenerated_h_calculus = functools.cache(lambda: regenerate_calculus(build_K_h()))
+_regenerated_h_calculus = functools.cache(lambda: regenerate_calculus(_suite_tensor("Kh")))
 
 
 def rtt_report() -> VerificationReport:
@@ -444,10 +460,11 @@ def rtt_report() -> VerificationReport:
 
     Every entry must normalize to 0 under the supergroup presentation,
     and every relation of ``SUPERGROUP_RELATIONS`` must appear among the
-    entries up to a nonzero scalar.
+    entries up to a nonzero scalar.  Khat_h and the parsed relations are
+    built once per process.
     """
     gl = get_presentation("gl-h11")
-    entries = rtt_expand(build_Khat_h())
+    entries = rtt_expand(_suite_tensor("Khat"))
     report = VerificationReport("rtt", gl.name)
     labels = [
         "".join(map(str, upper)) + "," + "".join(map(str, lower))
@@ -459,9 +476,8 @@ def rtt_report() -> VerificationReport:
         report.add(f"entry ({label}) reduces to 0", gl.show(nf), nf.is_zero())
     free = _free_group(gl)
     canonical = [_canonical_modulo_h2(e, free) for e in entries]
-    for label in SUPERGROUP_RELATIONS:
-        lhs, rhs = parse_relation(label, free)
-        relation = _canonical_modulo_h2(lhs - rhs, free)
+    for label, form in zip(SUPERGROUP_RELATIONS, _relation_forms(SUPERGROUP_RELATIONS, free)):
+        relation = _canonical_modulo_h2(form, free)
         lead = sorted(relation.words())[0]
         scale = None
         for candidate in canonical:
@@ -481,17 +497,18 @@ def rtt_report() -> VerificationReport:
 
 
 def ybe_report() -> VerificationReport:
-    """Yang-Baxter and inverse properties of the deformation matrices."""
+    """Yang-Baxter and inverse properties of the deformation matrices, built
+    once per process; every embedding and rank-6 product runs on every call."""
     report = VerificationReport("ybe", "h-line")
-    p = build_P()
+    p = _suite_tensor("P")
     identity = SuperTensor.identity(h_line(), 4)
     report.add("P squares to the identity", "", p * p == identity)
     report.add(
         "Khat_h satisfies the graded braid equation",
         "",
-        ybe_check(build_Khat_h(), "hat", graded=True),
+        ybe_check(_suite_tensor("Khat"), "hat", graded=True),
     )
-    r = build_R_h()
+    r = _suite_tensor("Rh")
     report.add(
         "R_h satisfies the graded Yang-Baxter equation",
         "",
@@ -663,7 +680,7 @@ def regeneration_report() -> VerificationReport:
         missing == {("dx", "dx"), ("dx", "dth"), ("h", "h")},
     )
     qh = get_presentation("qh-calculus")
-    q_rules = coordinate_differential_rules(build_K_hq(), factor=Q)
+    q_rules = coordinate_differential_rules(_suite_tensor("Khq"), factor=Q)
     for lhs, rhs in q_rules.items():
         label = "q-level " + "*".join(lhs) + " rule matches the calculus"
         report.add(label, qh.show(rhs), qh.rules[lhs] == rhs)

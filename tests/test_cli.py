@@ -5,11 +5,13 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from hsuperplane.algebra import Presentation
+from hsuperplane import differential, expr, rmatrix
+from hsuperplane.algebra import AlgebraMorphism, InvolutionSpec, Presentation
 from hsuperplane.cli import (
     SUITE_NAMES,
     UnknownSuiteError,
@@ -142,6 +144,46 @@ def test_second_verify_all_builds_no_presentation(monkeypatch):
     monkeypatch.setattr(Presentation, "__init__", counting_init)
     assert run_suite("all").passed
     assert built == []
+
+
+def _calls_during(run, functions) -> Counter:
+    """Calls to each of ``functions`` while ``run()`` runs, by qualified name.
+
+    Calls are matched by code object, so a call through any name bound to
+    the function counts.
+    """
+    names = {f.__code__: f.__qualname__ for f in functions}
+    counts = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in names:
+            counts[names[frame.f_code]] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(previous)
+    return counts
+
+
+def test_second_verify_all_rederives_no_input():
+    # samples, tensors, generator maps and parsed relations are built once
+    # per process; a warm pass only recomputes the verdicts
+    inputs = [
+        differential.random_form,
+        expr.parse_element,
+        expr.parse_relation,
+        *rmatrix.TENSOR_BUILDERS.values(),
+        AlgebraMorphism.__init__,
+        InvolutionSpec.__init__,
+    ]
+    first = run_suite("all")
+    reports = []
+    counts = _calls_during(lambda: reports.append(run_suite("all")), inputs)
+    assert counts == Counter()
+    assert reports[0].to_json() == first.to_json()
 
 
 # -- limit and solve-consistency ---------------------------------------------------

@@ -271,6 +271,29 @@ def test_dsquared_report():
     assert report.entries[0].data["samples"] == 202
 
 
+def test_dsquared_report_under_another_seed():
+    default = dsquared_report().to_json()
+    report = dsquared_report(7)
+    assert report.passed
+    assert [report.entries[k].data for k in (0, 2)] == [{"samples": 202}] * 2
+    pairs = {
+        seed: [drawn for _, _, drawn in differential._dsquared_inputs(seed)]
+        for seed in (7, 2024)
+    }
+    assert pairs[7] != pairs[2024]
+    assert dsquared_report().to_json() == default
+
+
+def test_dsquared_inputs_are_kept_for_a_bounded_number_of_seeds():
+    cap = differential.DSQUARED_SEED_CAP
+    for seed in range(cap + 1):
+        differential._dsquared_inputs(seed)
+    info = differential._dsquared_inputs.cache_info()
+    assert info.maxsize == cap
+    assert info.currsize == cap
+    assert differential._dsquared_inputs(2024) is differential._dsquared_inputs(2024)
+
+
 def test_dsquared_report_prints_the_first_failure_as_the_checks_do(monkeypatch):
     # a wrong d: right on short words, off by the identity on longer ones
     right = differential.exterior_d

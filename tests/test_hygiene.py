@@ -146,6 +146,7 @@ def test_traced_names_exist():
 
 BOUNDS = {
     "DEFAULT_MAX_STEPS": ("algebra", "Presentation"),
+    "DSQUARED_SEED_CAP": ("differential", None),
     "PRODUCT_TABLE_CAP": ("algebra", "Presentation"),
     "WORD_MEMO_CAP": ("algebra", None),
     "SCALAR_TABLE_CAP": ("scalar", None),

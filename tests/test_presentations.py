@@ -23,6 +23,7 @@ from hsuperplane.presentations import (
     build_qh_rules,
     build_star,
     coaction_check,
+    coaction_images,
     consistency_equations,
     consistency_system,
     contract,
@@ -439,6 +440,17 @@ def test_antilinearity_check_catches_a_linear_star(monkeypatch):
 
 
 # -- coaction -------------------------------------------------------------------------
+
+
+def test_star_and_coaction_images_are_built_fresh():
+    assert coaction_check().passed and involution_check().passed
+    assert build_star() is not build_star()
+    assert coaction_images() is not coaction_images()
+    coaction_images().clear()
+    build_star().images.clear()
+    assert coaction_check().passed
+    assert involution_check().passed
+    assert set(coaction_images()) == set(get_presentation("h-calculus").generator_names())
 
 
 def test_coaction_report_passes():

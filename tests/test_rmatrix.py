@@ -220,6 +220,16 @@ def test_invert_rejects_singular_scalar_part():
         SuperTensor(h_line(), 4, entries).invert()
 
 
+def test_tensor_builders_return_fresh_tensors():
+    assert ybe_report().passed  # the suites' own tensors are built by now
+    for build in (build_P, build_K_hq, build_K_h, build_Khat_h, build_R_h):
+        assert build() is not build()
+    build_R_h().entries.clear()
+    build_Khat_h().entries.clear()
+    assert build_R_h() == build_P() * build_Khat_h()
+    assert ybe_report().passed
+
+
 def test_ybe_report_passes():
     report = ybe_report()
     assert report.passed
