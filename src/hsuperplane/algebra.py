@@ -23,9 +23,6 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 from .scalar import ONE, ZERO, ScalarQ, GaussianRational, sc
 
 _MINUS_ONE = sc(-1)
-# rule coefficients equal to +-1 are stored as these shared objects, which
-# rewriting recognises by identity and never multiplies by
-_UNITS = {ONE: ONE, _MINUS_ONE: _MINUS_ONE}
 
 Word = tuple  # tuple[str, ...]
 
@@ -422,7 +419,8 @@ class Presentation:
 
     @staticmethod
     def _pair_entry(rhs: Element) -> tuple:
-        return tuple((w, _UNITS.get(c, c)) for w, c in rhs.items())
+        """A rule's terms; a coefficient 1 is the interned ``ONE``, never multiplied by."""
+        return tuple(rhs.items())
 
     def _check_rule_shape(self, lhs: Word, rhs: Element):
         if len(lhs) != 2:

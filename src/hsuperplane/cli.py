@@ -88,7 +88,11 @@ def load_presentation(path: str) -> Presentation:
     generators = []
     gen_numbers = []
     rule_lines = []
-    for number, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise AlgebraError(f"{path}: {err}") from None
+    for number, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -25,8 +25,7 @@ class UnsupportedGeneratorError(AlgebraError):
 _D_IMAGES = {"x": "dx", "th": "dth"}
 _D_CONSTANTS = ("dx", "dth", "h")
 _D_LETTERS = frozenset(_D_IMAGES) | frozenset(_D_CONSTANTS)
-# Leibniz signs by prefix parity: the interned constants that rewriting
-# treats as units
+# Leibniz signs by prefix parity
 _LEIBNIZ_SIGNS = (ONE, sc(-1))
 _FORM_LETTERS = ("h", "dth", "dx", "th", "x")
 _COORDINATE_LETTERS = ("h", "th", "x")
@@ -183,37 +182,31 @@ def check_operator_relations(p: Presentation) -> VerificationReport:
     def d_of(m: Element) -> Element:
         return p.act(d, m)
 
+    def graded_commutator(letter: str):
+        # d g - (-1)^|g| g d, less d(g) m when g is a coordinate
+        g = gen(letter)
+        apply = p.act if letter in ("px", "pth") else p.multiply
+        odd = p.generator(letter).parity
+        dg = gen(_D_IMAGES[letter]) if letter in _D_IMAGES else None
+
+        def residual(m: Element) -> Element:
+            out = d_of(apply(g, m))
+            out = out + apply(g, d_of(m)) if odd else out - apply(g, d_of(m))
+            return out if dg is None else out - p.multiply(dg, m)
+
+        return residual
+
     checks = [
-        (
-            "d*x - x*d acts as dx",
-            lambda m: d_of(p.multiply(gen("x"), m))
-            - p.multiply(gen("x"), d_of(m))
-            - p.multiply(gen("dx"), m),
-        ),
-        (
-            "d*th + th*d acts as dth",
-            lambda m: d_of(p.multiply(gen("th"), m))
-            + p.multiply(gen("th"), d_of(m))
-            - p.multiply(gen("dth"), m),
-        ),
-        (
-            "d commutes with px",
-            lambda m: d_of(p.act(gen("px"), m)) - p.act(gen("px"), d_of(m)),
-        ),
-        (
-            "d anticommutes with pth",
-            lambda m: d_of(p.act(gen("pth"), m)) + p.act(gen("pth"), d_of(m)),
-        ),
-        (
-            "d anticommutes with dx",
-            lambda m: d_of(p.multiply(gen("dx"), m))
-            + p.multiply(gen("dx"), d_of(m)),
-        ),
-        (
-            "d commutes with dth",
-            lambda m: d_of(p.multiply(gen("dth"), m))
-            - p.multiply(gen("dth"), d_of(m)),
-        ),
+        (label, graded_commutator(letter))
+        for label, letter in (
+            ("d*x - x*d acts as dx", "x"),
+            ("d*th + th*d acts as dth", "th"),
+            ("d commutes with px", "px"),
+            ("d anticommutes with pth", "pth"),
+            ("d anticommutes with dx", "dx"),
+            ("d commutes with dth", "dth"),
+        )
+    ] + [
         ("d squares to zero as an operator", lambda m: d_of(d_of(m))),
         (
             "operator realization matches the derivation",

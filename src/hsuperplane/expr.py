@@ -65,9 +65,9 @@ def _tokenize(text: str) -> List[_Token]:
             tokens.append(_Token("NAME", text[i:j], i))
             i = j
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i + 1
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(_Token("INT", text[i:j], i))
             i = j

@@ -21,21 +21,26 @@ monomial times a general N/D scales N and cancels only the power of q it
 can share with D or N, since N and D are coprime; division multiplies by
 the divisor's inverse (for N/D, D/N made monic, with no gcd); sums of two
 monomials with the same exponent, negations and ``qpow`` go through the
-same constructor.  Every path keeps the canonical invariant.  Small
-integers, -16 to 16, are shared constants (``ZERO`` and ``ONE`` among
-them): ``sc(k)`` allocates nothing for them, and an arithmetic result equal
-to one of them is that constant.
+same constructor.  Every path keeps the canonical invariant.
+
+Scalars are hash-consed: ``ScalarQ._canonical`` is the only place that
+creates one, and it first looks the canonical pair up in a weak intern
+table, so every live scalar is the one object of its value.  Equality is
+identity, and the table holds no more than the scalars alive elsewhere.
+``sc(k)`` of a small integer, -16 to 16, returns a constant kept in a dict
+(``ZERO`` and ``ONE`` among them) without a lookup.
 
 Products (so quotients), sums (so differences) and negations are memoised
-by value: equal scalars are structurally identical, so each result is
-computed once, by the paths above, and kept in a module-level table keyed
-by its operands; an equal operand pair later gets the same result object.
-A table that an insert would take past ``SCALAR_TABLE_CAP`` entries is
-cleared first.  A scalar caches its hash the first time it is hashed.
+by value: each result is computed once, by the paths above, and kept in a
+module-level table keyed by its operands; an equal operand pair later gets
+the same result object.  A table that an insert would take past
+``SCALAR_TABLE_CAP`` entries is cleared first.  A scalar caches its hash
+the first time it is hashed.
 """
 
 from __future__ import annotations
 
+import weakref
 from fractions import Fraction
 from typing import Union
 
@@ -338,16 +343,15 @@ class ScalarQ:
     """Rational function of q in canonical reduced form.
 
     Invariant: numerator and denominator are coprime and the denominator is
-    monic, so two equal scalars are structurally identical.
+    monic, so two equal scalars are structurally identical, and interning
+    makes them one object.
     """
 
-    __slots__ = ("num", "den", "_hash")
+    __slots__ = ("num", "den", "_hash", "__weakref__")
 
-    def __init__(self, num=0, den=1):
-        if not isinstance(num, PolyQ):
-            num = PolyQ.constant(num if isinstance(num, GaussianRational) else GaussianRational(num))
-        if not isinstance(den, PolyQ):
-            den = PolyQ.constant(den if isinstance(den, GaussianRational) else GaussianRational(den))
+    def __new__(cls, num=0, den=1):
+        num = num if isinstance(num, PolyQ) else PolyQ.constant(num)
+        den = den if isinstance(den, PolyQ) else PolyQ.constant(den)
         if den.is_zero():
             raise DivisionByZero("scalar with zero denominator")
         if num.is_zero():
@@ -370,15 +374,20 @@ class ScalarQ:
             lead = den.lead
             den = den.monic()
             num = num.scale(_G_ONE / lead)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        return ScalarQ._canonical(num, den)
 
     @staticmethod
     def _canonical(num: PolyQ, den: PolyQ) -> "ScalarQ":
-        """Wrap a pair already in canonical form, skipping the reduction."""
-        out = object.__new__(ScalarQ)
-        object.__setattr__(out, "num", num)
-        object.__setattr__(out, "den", den)
+        """The one live scalar num/den, for an unchecked canonical pair: the
+        interned object if there is one, else a new one, interned.  Every
+        scalar is made here."""
+        key = (num.coeffs, den.coeffs)
+        out = _INTERNED.get(key)
+        if out is None:
+            out = object.__new__(ScalarQ)
+            object.__setattr__(out, "num", num)
+            object.__setattr__(out, "den", den)
+            _INTERNED[key] = out
         return out
 
     def __setattr__(self, name, value):
@@ -500,11 +509,8 @@ class ScalarQ:
     def conjugate(self) -> "ScalarQ":
         """Complex conjugation; the deformation parameter q is treated as real,
         so the conjugate of a canonical N/D is canonical (a monic denominator
-        stays monic) and needs no reduction.  A constant result is shared."""
-        num = self.num.conjugate()
-        if len(self.den.coeffs) == 1 and len(num.coeffs) <= 1:
-            return _laurent(num.lead, 0)
-        return ScalarQ._canonical(num, self.den.conjugate())
+        stays monic) and needs no reduction."""
+        return ScalarQ._canonical(self.num.conjugate(), self.den.conjugate())
 
     def limit_at_one(self) -> GaussianRational:
         """Value at q = 1; a zero denominator here is a genuine pole."""
@@ -514,12 +520,13 @@ class ScalarQ:
         return self.num.evaluate(_G_ONE) / dval
 
     def __eq__(self, other):
+        """Identity, after coercing an int, Fraction or GaussianRational."""
         if self is other:
             return True
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return self is other
 
     def __hash__(self):
         try:
@@ -540,28 +547,13 @@ class ScalarQ:
     def __str__(self):
         if self.den.degree == 0:
             return str(self.num)
-        mono = self._monomial_str()
+        mono = self._monomial()
         if mono is not None:
-            return mono
+            # c over q^k prints as a single power c*q^-k
+            return _poly_term_str(*mono, first=True)
         num_terms = sum(1 for c in self.num.coeffs if not c.is_zero())
         num_str = str(self.num) if num_terms == 1 else f"({self.num})"
         return f"{num_str}/({self.den})"
-
-    def _monomial_str(self):
-        # c over q^k prints as a single power c*q^-k.
-        mono = self._monomial()
-        if mono is None:
-            return None
-        c, power = mono
-        body = str(c)
-        if c.im and c.re:
-            body = f"({body})"
-        qpart = f"q^{power}" if power != 1 else "q"
-        if body == "1":
-            return qpart
-        if body == "-1":
-            return f"-{qpart}"
-        return f"{body}*{qpart}"
 
 
 def _low_degree(coeffs: tuple) -> int:
@@ -570,23 +562,14 @@ def _low_degree(coeffs: tuple) -> int:
 
 
 def _laurent(c: GaussianRational, k: int) -> ScalarQ:
-    """Canonical c*q^k: (0,)*k + (c,) over 1, or (c,) over q^-k.
-
-    Zero is ``ZERO`` and a small integer is its shared constant.
-    """
+    """Canonical c*q^k: (0,)*k + (c,) over 1, or (c,) over q^-k."""
     if not c:
         return ZERO
-    if k > 0:
+    if k >= 0:
         return ScalarQ._canonical(PolyQ._canonical((_G_ZERO,) * k + (c,)), _P_ONE)
-    if k < 0:
-        return ScalarQ._canonical(
-            PolyQ._canonical((c,)), PolyQ._canonical((_G_ZERO,) * -k + (_G_ONE,))
-        )
-    if not c.im and type(c.re) is int:
-        interned = _SMALL_INTS.get(c.re)
-        if interned is not None:
-            return interned
-    return ScalarQ._canonical(PolyQ._canonical((c,)), _P_ONE)
+    return ScalarQ._canonical(
+        PolyQ._canonical((c,)), PolyQ._canonical((_G_ZERO,) * -k + (_G_ONE,))
+    )
 
 
 # value-keyed result tables: (a, b) -> a*b, (a, b) -> a+b for nonzero a and
@@ -622,7 +605,7 @@ def _multiply(a: ScalarQ, b: ScalarQ) -> ScalarQ:
         return b._times_monomial(*ma)
     if mb is not None:
         return a._times_monomial(*mb)
-    return _reduced(a.num * b.num, a.den * b.den)
+    return ScalarQ(a.num * b.num, a.den * b.den)
 
 
 def _sum(a: ScalarQ, b: ScalarQ) -> ScalarQ:
@@ -631,28 +614,20 @@ def _sum(a: ScalarQ, b: ScalarQ) -> ScalarQ:
     if ma is not None and mb is not None and ma[1] == mb[1]:
         return _laurent(ma[0] + mb[0], ma[1])
     if a.den == b.den:
-        return _reduced(a.num + b.num, a.den)
-    return _reduced(a.num * b.den + b.num * a.den, a.den * b.den)
+        return ScalarQ(a.num + b.num, a.den)
+    return ScalarQ(a.num * b.den + b.num * a.den, a.den * b.den)
 
 
 def _negation(a: ScalarQ) -> ScalarQ:
     m = a._monomial()
     if m is not None:
         return _laurent(-m[0], m[1])
-    if a.is_zero():
-        return ZERO
     return ScalarQ._canonical(-a.num, a.den)
 
 
-def _reduced(num: PolyQ, den: PolyQ) -> ScalarQ:
-    """The general reduction of num/den, with a constant result shared."""
-    out = ScalarQ(num, den)
-    if out.den.degree == 0 and out.num.degree <= 0:
-        return _laurent(out.num.lead, 0)
-    return out
-
-
-# small integers coerce to these shared constants, so ``sc(k)`` builds nothing
+# the weak intern table: (num.coeffs, den.coeffs) -> the one live scalar
+_INTERNED = weakref.WeakValueDictionary()
+# small integers coerce to these constants without an intern lookup
 _SMALL_INTS = {k: ScalarQ(k) for k in range(-16, 17)}
 ZERO = _SMALL_INTS[0]
 ONE = _SMALL_INTS[1]

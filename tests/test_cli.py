@@ -304,6 +304,7 @@ def test_load_rejects_non_confluent_rules(tmp_path, capsys):
         ),
         (["gen u even", "gen u odd"], 2, "duplicate generator name"),
         (["gen q even"], 1, "bad generator name 'q'"),
+        (["gen u even", "rule u*u = u^²"], 2, "unexpected character '²'"),
     ],
     ids=[
         "gen",
@@ -316,6 +317,7 @@ def test_load_rejects_non_confluent_rules(tmp_path, capsys):
         "rule-order",
         "gen-duplicate",
         "gen-reserved",
+        "rule-unicode-digit",
     ],
 )
 def test_load_rejects_malformed_lines(tmp_path, capsys, lines, number, message):
@@ -338,6 +340,16 @@ def test_load_rejects_composite_left_side(tmp_path, capsys):
 def test_missing_load_file(capsys):
     code = main(["--load", "/no/such/file.alg", "normalize", "x"])
     assert code == 2
+
+
+def test_load_file_not_utf8(tmp_path, capsys):
+    source = tmp_path / "latin1.alg"
+    source.write_bytes("gen \xfc even\n".encode("latin-1"))
+    code = main(["--load", str(source), "normalize", "x"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {source}: ")
+    assert "can't decode" in err
 
 
 # -- end-to-end --------------------------------------------------------------------

@@ -93,6 +93,13 @@ def test_unknown_symbol_reports_name_and_offset(plane):
     assert err.value.position == 4
 
 
+def test_non_decimal_digit_is_an_unexpected_character(plane):
+    # "²" is a digit to str.isdigit but not a decimal int() can read
+    with pytest.raises(ExprSyntaxError, match="unexpected character '²'") as err:
+        parse_element("x^²", plane)
+    assert err.value.position == 2
+
+
 def test_negative_power_of_generator_rejected(plane):
     with pytest.raises(ExprSyntaxError):
         parse_element("x^-1", plane)

@@ -1,10 +1,12 @@
 """Exact scalar arithmetic: canonical form, field laws, q -> 1 limits."""
 
+import gc
 import random
 from fractions import Fraction
 
 import pytest
 
+from hsuperplane import scalar
 from hsuperplane.algebra import Element
 from hsuperplane.scalar import (
     DivisionByZero,
@@ -269,3 +271,50 @@ def test_small_int_constants_are_interned():
     assert Element.word(("x",), 5).coefficient(("x",)) is sc(5)
     assert Element.word(("x",), 5).coefficient(("y",)) is ZERO
     assert Element.word(("x",), 5).scalar_part() is ZERO
+
+
+def test_equal_scalars_are_one_object():
+    """Each construction path gives back the one live object of a value."""
+    tables = (scalar._PRODUCTS, scalar._SUMS, scalar._NEGATIONS)
+    q_plus_1 = ScalarQ(PolyQ([1, 1]))
+    assert ScalarQ(PolyQ([0, 3, 3]), PolyQ([0, 3])) is q_plus_1
+    assert ScalarQ(PolyQ([1, 2, 1]), PolyQ([1, 1])) is q_plus_1
+    assert sc(5) is ScalarQ(5) is ScalarQ(PolyQ([10]), PolyQ([2]))
+    assert sc(1000) is ScalarQ(1000) is ScalarQ(PolyQ([0, 2000]), PolyQ([0, 2]))
+    assert sc(Fraction(1, 2)) is ScalarQ(1, 2)
+    assert sc(GaussianRational(1, -3)) is ScalarQ(PolyQ([GaussianRational(2, -6)]), 2)
+    assert qpow(3) is ScalarQ(PolyQ([0, 0, 0, 1]))
+    assert qpow(-2) is ScalarQ(1, PolyQ([0, 0, 1]))
+    assert Q.conjugate() is Q
+    q_plus_i = ScalarQ(PolyQ([GaussianRational(0, 1), 1]))
+    assert q_plus_i.conjugate() is ScalarQ(PolyQ([GaussianRational(0, -1), 1]))
+    assert ONE / ScalarQ(PolyQ([1, 1])) is ScalarQ(1, PolyQ([1, 1]))
+    ratio = ScalarQ(PolyQ([1, 1]), PolyQ([-1, 1]))
+    assert ratio * ScalarQ(PolyQ([-1, 1]), PolyQ([2, 1])) is ScalarQ(PolyQ([1, 1]), PolyQ([2, 1]))
+    assert ratio * ScalarQ(PolyQ([-1, 1]), PolyQ([1, 1])) is ONE
+    operations = [
+        (lambda a, b: a + b, ScalarQ(PolyQ([2, 1, 1]), PolyQ([0, 1]))),
+        (lambda a, b: a - b, ScalarQ(PolyQ([-2, 1, 1]), PolyQ([0, 1]))),
+        (lambda a, b: a * b, ScalarQ(PolyQ([2, 2]), PolyQ([0, 1]))),
+        (lambda a, b: a / b, ScalarQ(PolyQ([0, 1, 1]), 2)),
+        (lambda a, b: -a, ScalarQ(PolyQ([-1, -1]))),
+    ]
+    for op, expected in operations:
+        for table in tables:
+            table.clear()
+        miss = op(ScalarQ(PolyQ([1, 1])), ScalarQ(2, PolyQ([0, 1])))
+        hit = op(ScalarQ(PolyQ([1, 1])), ScalarQ(2, PolyQ([0, 1])))
+        assert miss is hit is expected
+    scalar._PRODUCTS.clear()
+    assert Q * Q is qpow(2) is ScalarQ(PolyQ([0, 0, 1]))
+
+
+def test_intern_table_holds_only_live_scalars():
+    gc.collect()
+    before = len(scalar._INTERNED)
+    made = [ScalarQ(PolyQ([k, 1]), PolyQ([0, 0, 1])) for k in range(10**6, 10**6 + 10_000)]
+    assert len(set(map(id, made))) == 10_000
+    assert len(scalar._INTERNED) == before + 10_000
+    del made
+    gc.collect()
+    assert len(scalar._INTERNED) == before

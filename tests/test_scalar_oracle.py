@@ -123,8 +123,8 @@ def assert_canonical(s):
 def assert_shared_if_small_int(s, *operands):
     """A result equal to an int in -16..16 is that int's shared constant.
 
-    An operation may return an operand as it is (a*1, a+0); an operand
-    built by ``ScalarQ(num, den)`` is a fresh object, shared or not.
+    An operation may return an operand as it is (a*1, a+0), which is
+    skipped; scalars are interned, so such an operand is shared as well.
     """
     if any(s is operand for operand in operands):
         return
@@ -277,7 +277,7 @@ def test_memo_hit_matches_sympy(name, a, b):
     expected = sym_op(sym_scalar(a), sym_scalar(b))
     clear_tables()
     miss = op(a, b)
-    hit = op(ScalarQ(a.num, a.den), ScalarQ(b.num, b.den))  # equal, not identical
+    hit = op(ScalarQ(a.num, a.den), ScalarQ(b.num, b.den))  # interned: a and b again
     clear_tables()
     again = op(a, b)
     for result in (miss, hit, again):
