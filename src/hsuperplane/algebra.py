@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .scalar import ONE, ZERO, ScalarQ, GaussianRational, sc
+from .scalar import ONE, ZERO, ScalarQ, GaussianRational, make_room, sc
 
 _MINUS_ONE = sc(-1)
 
@@ -28,8 +28,7 @@ Word = tuple  # tuple[str, ...]
 
 _RESERVED_NAMES = frozenset({"q", "i", "d"})
 
-# a call that starts with more words than this in its memo (normal_form's
-# input-word cache, a memo of linear_extension) clears the memo first
+# entries of each word memo (see linear_extension, normal_form and act)
 WORD_MEMO_CAP = 4096
 
 # product-table mark of a (word, letter) pair whose rewriting has started but
@@ -64,16 +63,14 @@ def linear_extension(terms, image_of, memo: dict) -> "Element":
     ``image_of`` maps one word to an ``Element``.  Each word's image is
     computed once and kept in ``memo``, a dict from word to image that the
     caller owns and fills only through this ``image_of``; the images stay
-    for as long as the memo's owner does, and a call that starts with more
-    than ``WORD_MEMO_CAP`` of them clears the memo first.
+    for as long as the memo's owner does, and a miss makes room for its
+    image under ``WORD_MEMO_CAP`` (``scalar.make_room``).
     """
-    if len(memo) > WORD_MEMO_CAP:
-        memo.clear()
     out = {}
     for w, c in terms:
         image = memo.get(w)
         if image is None:
-            image = memo[w] = image_of(w)
+            image = make_room(memo, WORD_MEMO_CAP)[w] = image_of(w)
         for w2, c2 in image._terms.items():
             _accumulate(out, w2, c2 if c is ONE else c * c2)
     return Element._wrap(out)
@@ -281,7 +278,6 @@ class Element:
 
 # the slot's own setter builds an Element past the __setattr__ that forbids it
 _set_terms = Element._terms.__set__
-ZERO_ELEMENT = Element()
 ONE_ELEMENT = Element.scalar(1)
 
 
@@ -329,9 +325,8 @@ class Presentation:
     """
 
     DEFAULT_MAX_STEPS = 5_000_000
-    # a normal_form call that starts with more (word, letter) products than
-    # this in the product table clears the table first; 2048 is the knee of
-    # the time and memory curve measured on the normalize-mix stream
+    # entries of the product table; 2048 is the knee of the time and memory
+    # curve measured on the normalize-mix stream
     PRODUCT_TABLE_CAP = 2048
 
     def __init__(
@@ -384,12 +379,9 @@ class Presentation:
         for lhs, rhs in rules.items():
             self._check_lhs_shape(lhs, rhs)
         self._pairs = self._compile_pairs()
-        if rules:
-            for lhs in list(rules):
-                self._nf_cache.clear()
-                self._products.clear()
-                rules[lhs] = self.normal_form(rules[lhs])
-                self._pairs[lhs] = self._pair_entry(rules[lhs])
+        for lhs in list(rules):
+            rules[lhs] = self.normal_form(rules[lhs])
+            self._pairs[lhs] = tuple(rules[lhs].items())
             self._nf_cache.clear()
             self._products.clear()
         self._central = self._central_letters()
@@ -414,13 +406,8 @@ class Presentation:
                 elif a is b and a.parity:
                     table[a.name, b.name] = ()
         for lhs, rhs in self._rules.items():
-            table[lhs] = self._pair_entry(rhs)
+            table[lhs] = tuple(rhs.items())
         return table
-
-    @staticmethod
-    def _pair_entry(rhs: Element) -> tuple:
-        """A rule's terms; a coefficient 1 is the interned ``ONE``, never multiplied by."""
-        return tuple(rhs.items())
 
     def _check_rule_shape(self, lhs: Word, rhs: Element):
         if len(lhs) != 2:
@@ -561,13 +548,13 @@ class Presentation:
         ``v`` less its last letter (carrying its coefficient from the start
         when the rewrite has one term).  The normal-form terms of each such
         ``v*g`` are kept in the presentation's product table, so each pair
-        is rewritten once for as long as the table lasts; a call that starts
-        with more than ``PRODUCT_TABLE_CAP`` entries in the table clears it
-        first.  The normal forms of input words are also kept across calls
-        in the presentation's cache, which the same rule bounds by
-        ``WORD_MEMO_CAP``.  ``strategy="rightmost"`` rewrites the last
-        reducible pair and follows every rewrite path with no table and no
-        cache; on a confluent presentation both give the same result.
+        is rewritten once for as long as the table lasts, and those of input
+        words in its cache.  ``scalar.make_room`` bounds them by
+        ``PRODUCT_TABLE_CAP`` and ``WORD_MEMO_CAP``; the table makes room only
+        as a call starts, since a clear mid-call would drop its ``_PENDING``
+        marks.  ``strategy="rightmost"`` rewrites the last reducible pair
+        and follows every rewrite path with no table and no cache; on a
+        confluent presentation both give the same result.
 
         The budget, ``DEFAULT_MAX_STEPS`` = 5,000,000 work units unless
         ``max_steps`` is given, bounds the work of one call.  A leftmost work
@@ -587,10 +574,7 @@ class Presentation:
         Element built: the normal form's terms as a new dict."""
         budget = max_steps if max_steps is not None else self.DEFAULT_MAX_STEPS
         leftmost = strategy == "leftmost"
-        if len(self._products) > self.PRODUCT_TABLE_CAP:
-            self._products.clear()
-        if len(self._nf_cache) > WORD_MEMO_CAP:
-            self._nf_cache.clear()
+        make_room(self._products, self.PRODUCT_TABLE_CAP)
         spent = 0
         out = {}
         for start_word, start_coeff in terms:
@@ -599,7 +583,7 @@ class Presentation:
                 self._check_letters(start_word)
                 if leftmost:
                     result, spent = self._fold_letters(start_word, spent, budget)
-                    self._nf_cache[start_word] = result
+                    make_room(self._nf_cache, WORD_MEMO_CAP)[start_word] = result
                 else:
                     result, spent = self._reduce_rightmost(start_word, spent, budget)
             for w, c in result.items():
@@ -742,15 +726,13 @@ class Presentation:
         The action is linear in the function, so it is the linear extension
         of its value on one function word: the normal form of operator*word
         minus the terms that end in a derivative.  Those values are kept per
-        operator on the presentation, each operator's memo and the number of
-        operators bounded by ``WORD_MEMO_CAP``.
+        operator on the presentation; a miss makes room for a new operator,
+        or for a new word in an operator's memo, under ``WORD_MEMO_CAP``.
         """
         operator = as_element(operator)
         memo = self._act_memo.get(operator)
         if memo is None:
-            if len(self._act_memo) >= WORD_MEMO_CAP:
-                self._act_memo.clear()
-            memo = self._act_memo[operator] = {}
+            memo = make_room(self._act_memo, WORD_MEMO_CAP)[operator] = {}
         return linear_extension(
             as_element(function).items(), lambda w: self._act_on_word(operator, w), memo
         )

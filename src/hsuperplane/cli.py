@@ -166,8 +166,7 @@ def _cmd_normalize(args, loaded: Optional[Presentation]) -> int:
         names = ", ".join(g.name for g in p.generators)
         print(f"error: {err}; valid generators: {names}", file=sys.stderr)
         return 2
-    print(p.show(element))
-    return 0
+    return _print(lambda: p.show(element))
 
 
 def _cmd_verify(args) -> int:
@@ -181,10 +180,19 @@ def _cmd_verify(args) -> int:
 def _cmd_limit(args) -> int:
     value = parse_scalar(args.expr)
     try:
-        print(value.limit_at_one())
+        return _print(lambda: str(value.limit_at_one()))
     except PoleAtOne as err:
         print(f"pole at q = 1: {err}", file=sys.stderr)
         return 1
+
+
+def _print(render) -> int:
+    """Print ``render()``; exit code 2 if it meets an integer too long for ``str``."""
+    try:
+        print(render())
+    except ValueError:
+        print("error: the result holds an integer too long to print", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -52,8 +52,8 @@ def exterior_d(a: Element, p: Presentation) -> Element:
     d(g_1 ... g_n) is the sum over positions k of the word with g_k
     replaced by its image, signed by the parity of the prefix before k.
     d is linear, so it is the linear extension of its value on one word;
-    the normal form of each word's d is kept in ``p.d_memo``, bounded by
-    ``algebra.WORD_MEMO_CAP``.
+    the normal form of each word's d is kept in ``p.d_memo``, where a miss
+    makes room under ``algebra.WORD_MEMO_CAP``.
     """
     return linear_extension(a.items(), lambda w: _d_of_word(w, p), p.d_memo)
 

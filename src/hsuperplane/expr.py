@@ -86,7 +86,6 @@ _CONSTANTS = {"q": Q, "i": I}
 
 class _Parser:
     def __init__(self, text: str, presentation: Optional[Presentation], scalars=None):
-        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.presentation = presentation
@@ -99,6 +98,15 @@ class _Parser:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
+
+    def integer(self) -> int:
+        tok = self.advance()
+        if tok.kind != "INT":
+            raise ExprSyntaxError("expected an integer exponent", tok.pos)
+        try:
+            return int(tok.text)
+        except ValueError:  # more digits than int() reads
+            raise ExprSyntaxError(f"{len(tok.text)}-digit integer too long", tok.pos) from None
 
     def accept_op(self, *ops: str) -> Optional[_Token]:
         tok = self.peek()
@@ -165,11 +173,7 @@ class _Parser:
         if caret is None:
             return value
         sign = -1 if self.accept_op("-") else 1
-        tok = self.peek()
-        if tok.kind != "INT":
-            raise ExprSyntaxError("expected an integer exponent", tok.pos)
-        self.advance()
-        exponent = sign * int(tok.text)
+        exponent = sign * self.integer()
         if exponent < 0 and not value.is_scalar():
             raise ExprSyntaxError("negative power of a non-scalar", caret.pos)
         return value ** exponent
@@ -177,8 +181,7 @@ class _Parser:
     def base(self) -> Element:
         tok = self.peek()
         if tok.kind == "INT":
-            self.advance()
-            return Element.scalar(int(tok.text))
+            return Element.scalar(self.integer())
         if tok.kind == "NAME":
             self.advance()
             if tok.text in self.constants:

@@ -33,9 +33,9 @@ identity, and the table holds no more than the scalars alive elsewhere.
 Products (so quotients), sums (so differences) and negations are memoised
 by value: each result is computed once, by the paths above, and kept in a
 module-level table keyed by its operands; an equal operand pair later gets
-the same result object.  A table that an insert would take past
-``SCALAR_TABLE_CAP`` entries is cleared first.  A scalar caches its hash
-the first time it is hashed.
+the same result object.  Each table is bounded by ``SCALAR_TABLE_CAP``
+through ``make_room``, the one rule for every bounded memo of the engine.
+A scalar caches its hash the first time it is hashed.
 """
 
 from __future__ import annotations
@@ -444,13 +444,17 @@ class ScalarQ:
         if not self.num.coeffs:
             return other
         out = _SUMS.get((self, other))
-        return _remember(_SUMS, (self, other), _sum(self, other)) if out is None else out
+        if out is None:
+            out = make_room(_SUMS, SCALAR_TABLE_CAP)[self, other] = _sum(self, other)
+        return out
 
     __radd__ = __add__
 
     def __neg__(self):
         out = _NEGATIONS.get(self)
-        return _remember(_NEGATIONS, self, _negation(self)) if out is None else out
+        if out is None:
+            out = make_room(_NEGATIONS, SCALAR_TABLE_CAP)[self] = _negation(self)
+        return out
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -572,26 +576,28 @@ def _laurent(c: GaussianRational, k: int) -> ScalarQ:
     )
 
 
+def make_room(memo: dict, cap: int) -> dict:
+    """``memo``, emptied if it holds ``cap`` entries or more: the one bound of
+    every memo, whose owner calls this just before the memo may grow."""
+    if len(memo) >= cap:
+        memo.clear()
+    return memo
+
+
 # value-keyed result tables: (a, b) -> a*b, (a, b) -> a+b for nonzero a and
-# b, a -> -a; an insert that would take one past SCALAR_TABLE_CAP clears it
+# b, a -> -a; each bounded by SCALAR_TABLE_CAP through make_room
 SCALAR_TABLE_CAP = 4096
 _PRODUCTS: dict = {}
 _SUMS: dict = {}
 _NEGATIONS: dict = {}
 
 
-def _remember(table: dict, key, value: ScalarQ) -> ScalarQ:
-    """Store ``value`` under ``key`` in ``table``, clearing a full table first."""
-    if len(table) >= SCALAR_TABLE_CAP:
-        table.clear()
-    table[key] = value
-    return value
-
-
 def _product(a: ScalarQ, b: ScalarQ) -> ScalarQ:
     """a*b from the product table, computed by ``_multiply`` on a miss."""
     out = _PRODUCTS.get((a, b))
-    return _remember(_PRODUCTS, (a, b), _multiply(a, b)) if out is None else out
+    if out is None:
+        out = make_room(_PRODUCTS, SCALAR_TABLE_CAP)[a, b] = _multiply(a, b)
+    return out
 
 
 def _multiply(a: ScalarQ, b: ScalarQ) -> ScalarQ:

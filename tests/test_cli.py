@@ -65,6 +65,22 @@ def test_normalize_unknown_symbol_lists_generators(capsys):
     assert "gm" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["normalize", "2^100000"], "error: the result holds an integer too long to print"),
+        (["limit", "2^20000"], "error: the result holds an integer too long to print"),
+        (["normalize", "7" * 5000], "error: 5000-digit integer too long (at offset 0)"),
+    ],
+    ids=["normalize-print", "limit-print", "normalize-literal"],
+)
+def test_integer_too_long_exits_2(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(message)
+    assert captured.out == ""
+
+
 # -- verify ----------------------------------------------------------------------
 
 
@@ -305,6 +321,7 @@ def test_load_rejects_non_confluent_rules(tmp_path, capsys):
         (["gen u even", "gen u odd"], 2, "duplicate generator name"),
         (["gen q even"], 1, "bad generator name 'q'"),
         (["gen u even", "rule u*u = u^²"], 2, "unexpected character '²'"),
+        (["gen u even", "rule u*u = " + "7" * 5000 + "*u"], 2, "5000-digit integer too long"),
     ],
     ids=[
         "gen",
@@ -318,6 +335,7 @@ def test_load_rejects_non_confluent_rules(tmp_path, capsys):
         "gen-duplicate",
         "gen-reserved",
         "rule-unicode-digit",
+        "rule-long-literal",
     ],
 )
 def test_load_rejects_malformed_lines(tmp_path, capsys, lines, number, message):

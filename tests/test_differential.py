@@ -366,3 +366,27 @@ def test_word_memos_past_their_cap_keep_their_values(monkeypatch):
         product = s * random_form(rng, capped, 3)
         assert capped.normal_form(product) == fresh.normal_form(product)
         assert len(capped._nf_cache) <= 2 + product.term_count()
+
+
+def test_word_memos_never_pass_their_cap(monkeypatch):
+    """Each word memo makes room before it grows, so with the cap at 2 no
+    memo holds more than 2 entries after any call, however many words the
+    call brings."""
+    monkeypatch.setattr(algebra, "WORD_MEMO_CAP", 2)
+    capped = build_h_calculus()
+    images = {g.name: gen(g.name) for g in capped.generators}
+    f = AlgebraMorphism(capped, capped, images)
+    operators = (d_operator(), gen("px"), gen("pth"))
+    rng = random.Random(41)
+    for _ in range(12):
+        s = random_form(rng, capped, 4, terms=5)
+        exterior_d(s, capped)
+        assert len(capped.d_memo) <= 2
+        for op in operators:
+            capped.act(op, s)
+            assert len(capped._act_memo) <= 2
+            assert all(len(memo) <= 2 for memo in capped._act_memo.values())
+        f(s)
+        assert len(f._memo) <= 2
+        capped.normal_form(s * random_form(rng, capped, 3, terms=4))
+        assert len(capped._nf_cache) <= 2

@@ -100,6 +100,13 @@ def test_non_decimal_digit_is_an_unexpected_character(plane):
     assert err.value.position == 2
 
 
+@pytest.mark.parametrize("text, position", [("7" * 5000, 0), ("x^" + "7" * 5000, 2)])
+def test_integer_too_long_for_int_is_a_syntax_error(plane, text, position):
+    with pytest.raises(ExprSyntaxError, match="5000-digit integer too long") as err:
+        parse_element(text, plane)
+    assert err.value.position == position
+
+
 def test_negative_power_of_generator_rejected(plane):
     with pytest.raises(ExprSyntaxError):
         parse_element("x^-1", plane)

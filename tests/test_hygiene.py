@@ -17,6 +17,9 @@
   exists, so a rename cannot silently drop a traced metric.
 * Each bound that README "Rewriting" prints beside its name is the value of
   that constant in the code.
+* One function, ``scalar.make_room``, compares a length with a cap, and
+  every other use of a ``*_CAP`` constant passes it to ``make_room`` or to
+  ``functools.lru_cache``: each bounded memo follows the one rule.
 """
 
 import ast
@@ -165,3 +168,39 @@ def test_readme_prints_each_bound_as_in_the_code(name):
     printed += re.findall(rf"([\d,]+)[^.()]*\({quoted}", section)
     assert printed
     assert {int(text.replace(",", "")) for text in printed} == {value}
+
+
+def _name(node: ast.AST) -> str:
+    """The identifier a Name or an Attribute node ends in; '' for other nodes."""
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", "")
+
+
+def _is_cap(node: ast.AST) -> bool:
+    return _name(node) == "cap" or _name(node).endswith("_CAP")
+
+
+def test_one_function_bounds_every_memo():
+    comparing, other_uses = set(), []
+    for path in MODULES:
+        tree = _tree(path)
+        for func in ast.walk(tree):
+            for node in ast.walk(func) if isinstance(func, ast.FunctionDef) else ():
+                operands = [node.left, *node.comparators] if isinstance(node, ast.Compare) else []
+                if any(map(_is_cap, operands)) and any(
+                    isinstance(o, ast.Call) and _name(o.func) == "len" for o in operands
+                ):
+                    comparing.add(f"{path.stem}.{func.name}")
+        passed = {  # caps given to make_room or functools.lru_cache
+            id(arg)
+            for call in ast.walk(tree)
+            if isinstance(call, ast.Call) and _name(call.func) in ("make_room", "lru_cache")
+            for arg in [*call.args, *(k.value for k in call.keywords)]
+        }
+        other_uses += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if _name(node).endswith("_CAP") and isinstance(node.ctx, ast.Load)
+            and id(node) not in passed
+        ]
+    assert comparing == {"scalar.make_room"}
+    assert other_uses == []
