@@ -110,10 +110,11 @@ class Element:
 
     Addition and the free (concatenation) product never consult a
     presentation; normal forms are computed by ``Presentation.normal_form``
-    and, for a product, ``Presentation.multiply``.
+    and, for a product, ``Presentation.multiply``.  An element is immutable,
+    so it caches its hash the first time it is hashed.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_hash")
 
     def __init__(self, terms: Optional[Mapping[Word, ScalarQ]] = None):
         data = {}
@@ -195,7 +196,7 @@ class Element:
 
     @staticmethod
     def _coerce(value) -> "Element":
-        if isinstance(value, Element):
+        if type(value) is Element:
             return value
         if isinstance(value, (ScalarQ, int, Fraction, GaussianRational)):
             return Element.scalar(value)
@@ -219,7 +220,10 @@ class Element:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        out = dict(self._terms)
+        for w, c in other._terms.items():
+            _accumulate(out, w, -c)
+        return Element._wrap(out)
 
     def __rsub__(self, other):
         return -self + other
@@ -261,10 +265,17 @@ class Element:
         return self._terms == other._terms
 
     def __hash__(self):
-        # a pure scalar, 0 included, hashes like the scalar it equals
-        if self.is_scalar():
-            return hash(self.scalar_part())
-        return hash(frozenset(self._terms.items()))
+        """Computed once: a pure scalar, 0 included, hashes like the scalar
+        it equals, any other element like the frozenset of its terms."""
+        try:
+            return self._hash
+        except AttributeError:
+            if self.is_scalar():
+                value = hash(self.scalar_part())
+            else:
+                value = hash(frozenset(self._terms.items()))
+            _set_hash(self, value)
+            return value
 
     def __bool__(self):
         return not self.is_zero()
@@ -276,12 +287,15 @@ class Element:
         return "Element(" + " + ".join(parts) + ")"
 
 
-# the slot's own setter builds an Element past the __setattr__ that forbids it
+# the slots' own setters build an Element past the __setattr__ that forbids it
 _set_terms = Element._terms.__set__
+_set_hash = Element._hash.__set__
 ONE_ELEMENT = Element.scalar(1)
 
 
 def as_element(value) -> Element:
+    if type(value) is Element:
+        return value
     coerced = Element._coerce(value)
     if coerced is NotImplemented:
         raise TypeError(f"cannot interpret {value!r} as an algebra element")
@@ -757,11 +771,13 @@ class Presentation:
         failures = []
         checked = 0
         names = self.generator_names()
+        pairs = self._pairs
         for g1 in names:
             for g2 in names:
-                left_red = self.reducible_pair(g1, g2)
+                if (g1, g2) not in pairs:
+                    continue
                 for g3 in names:
-                    if not (left_red and self.reducible_pair(g2, g3)):
+                    if (g2, g3) not in pairs:
                         continue
                     checked += 1
                     w = (g1, g2, g3)

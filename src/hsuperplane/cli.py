@@ -16,7 +16,8 @@ from its relation text; a line it rejects, or whose rule the presentation
 rejects (a bad left side, a duplicate, mixed parities, a right side not
 smaller in the termination order), is reported as ``path:line``.
 A file whose rules are not confluent is rejected: each overlap whose two
-reductions differ is printed with both normal forms, and the command exits 1.
+reductions differ is printed with both normal forms (only the overlap word
+when they hold an integer too long to print), and the command exits 1.
 
 Exit codes: 0 on success, 1 on verification failure (including a --load
 file that is not confluent), 2 on usage or parse errors.
@@ -27,7 +28,7 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from .algebra import AlgebraError, Presentation
+from .algebra import AlgebraError, Element, Presentation
 from .expr import ExprSyntaxError, UnknownSymbolError, parse_rule, parse_scalar
 from .presentations import (
     UnknownPresentationError,
@@ -145,8 +146,12 @@ def _report_overlaps(p: Presentation, path: str) -> bool:
     """Print every overlap of ``p`` whose two reductions differ; True if none."""
     report = p.check_confluence()
     for failure in report.failures:
-        text = overlap_text(p, failure)
-        print(f"error: {path}: rules are not confluent: {text}", file=sys.stderr)
+        prefix = f"{path}: rules are not confluent: "
+        _print(
+            lambda: f"error: {prefix}{overlap_text(p, failure)}",
+            sys.stderr,
+            f"{prefix}the two reductions of {p.show(Element.word(failure[0]))} hold",
+        )
     return report.passed
 
 
@@ -186,12 +191,14 @@ def _cmd_limit(args) -> int:
         return 1
 
 
-def _print(render) -> int:
-    """Print ``render()``; exit code 2 if it meets an integer too long for ``str``."""
+def _print(render, file=None, holder: str = "the result holds") -> int:
+    """Print ``render()`` to ``file`` (stdout by default) and return exit code
+    0; if it meets an integer too long for ``str``, print ``error: <holder>
+    an integer too long to print`` to stderr instead and return 2."""
     try:
-        print(render())
+        print(render(), file=file)
     except ValueError:
-        print("error: the result holds an integer too long to print", file=sys.stderr)
+        print(f"error: {holder} an integer too long to print", file=sys.stderr)
         return 2
     return 0
 

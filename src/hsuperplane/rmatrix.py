@@ -68,7 +68,13 @@ def h_line() -> Presentation:
 
 
 class SuperTensor:
-    """Rank-2n tensor with Element entries and index-consistent parity."""
+    """Rank-2n tensor with Element entries and index-consistent parity.
+
+    ``__init__`` checks each entry's index values, rank and parity.  The
+    product and the embeddings of checked tensors skip those checks
+    (``_wrap``): a product entry's parity is the sum of its factors', and
+    an embedding only signs entries and repeats the untouched slot's index.
+    """
 
     __slots__ = ("presentation", "rank", "entries")
 
@@ -98,6 +104,16 @@ class SuperTensor:
         self.presentation = presentation
         self.rank = rank
         self.entries = stored
+
+    @staticmethod
+    def _wrap(presentation: Presentation, rank: int, entries: dict) -> "SuperTensor":
+        """A tensor with the nonzero ``entries``, built from checked tensors
+        (see the class docstring); the checks of ``__init__`` are skipped."""
+        out = object.__new__(SuperTensor)
+        out.presentation = presentation
+        out.rank = rank
+        out.entries = {idx: element for idx, element in entries.items() if element._terms}
+        return out
 
     @property
     def n(self) -> int:
@@ -130,7 +146,7 @@ class SuperTensor:
         p = self.presentation
         product = _free_product(self.entries, other.entries, self.n)
         entries = {idx: Element._wrap(p._normal_terms(t.items())) for idx, t in product.items()}
-        return SuperTensor(p, self.rank, entries)
+        return SuperTensor._wrap(p, self.rank, entries)
 
     def map_entries(self, f) -> "SuperTensor":
         return SuperTensor(
@@ -324,7 +340,7 @@ def embed(t: SuperTensor, slot: int, graded: bool = True) -> SuperTensor:
     if slot not in (12, 13, 23):
         raise ValueError(f"slot must be one of 12, 13, 23, got {slot!r}")
     active = {12: (0, 1), 13: (0, 2), 23: (1, 2)}[slot]
-    return SuperTensor(t.presentation, 6, _embedded(t.entries, 3, active, graded))
+    return SuperTensor._wrap(t.presentation, 6, _embedded(t.entries, 3, active, graded))
 
 
 def ybe_check(t: SuperTensor, form: str, graded: bool = True) -> bool:

@@ -436,9 +436,10 @@ class ScalarQ:
         return ScalarQ._canonical(PolyQ._canonical(num), PolyQ._canonical(den))
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not ScalarQ:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         if not other.num.coeffs:
             return self
         if not self.num.coeffs:
@@ -468,11 +469,12 @@ class ScalarQ:
     def __mul__(self, other):
         if other is ONE:
             return self
+        if type(other) is not ScalarQ:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         if self is ONE:
-            return self._coerce(other)
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+            return other
         return _product(self, other)
 
     __rmul__ = __mul__

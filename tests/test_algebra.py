@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hsuperplane.algebra import (
     AlgebraMorphism,
@@ -19,7 +21,12 @@ from hsuperplane.algebra import (
     gen,
     word,
 )
-from hsuperplane.presentations import build_q_superplane, set_h_to_zero
+from hsuperplane.presentations import (
+    CATALOGUE_NAMES,
+    build_q_superplane,
+    get_presentation,
+    set_h_to_zero,
+)
 from hsuperplane.scalar import I, ONE, Q, qpow, sc
 
 
@@ -91,6 +98,41 @@ def test_element_immutable():
     e = word("x")
     with pytest.raises(AttributeError):
         e._terms = {}
+
+
+def normal_elements(p: Presentation):
+    """Normal forms of sums of up to four words of ``p`` of length up to 4."""
+    words = st.lists(st.sampled_from(p.generator_names()), max_size=4).map(tuple)
+    scalars = st.sampled_from((ONE, sc(-1), sc(3), Q, qpow(-1), sc(2) - Q, I))
+    return st.lists(st.tuples(words, scalars), max_size=4).map(
+        lambda terms: p.normal_form(sum((Element.word(w, c) for w, c in terms), Element()))
+    )
+
+
+@pytest.mark.parametrize("name", CATALOGUE_NAMES)
+def test_arithmetic_agrees_with_the_checked_constructor(name):
+    # subtraction, _wrap and the cached hash skip the checks of __init__
+    elements = normal_elements(get_presentation(name))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(elements, elements, st.integers(-20, 20))
+    def check(a, b, k):
+        difference = a - b
+        assert difference == a + (-b)
+        assert all(not c.is_zero() for _, c in difference.items())
+        assert (a - a).term_count() == 0
+        # equal elements hash alike however they were built, hashed before or not
+        hashed = hash(difference)
+        terms = dict(difference.items())
+        for twin in (Element(terms), Element._wrap(dict(terms)), a + (-b), -(b - a)):
+            assert twin == difference
+            assert hash(twin) == hashed == hash(twin)
+        # a scalar element hashes like its ScalarQ and its int
+        scalar = (a + k) - a
+        assert scalar == Element.scalar(k)
+        assert hash(scalar) == hash(sc(k)) == hash(k) == hash(Element.scalar(k))
+
+    check()
 
 
 # -- rewriting -----------------------------------------------------------------

@@ -303,6 +303,23 @@ def test_load_rejects_non_confluent_rules(tmp_path, capsys):
     assert "v^3 reduces to u*v and to 2*u*v" in captured.err
 
 
+def test_load_rejects_non_confluent_rules_with_an_unprintable_overlap(tmp_path, capsys):
+    # the overlap z*y*x has normal forms holding 2^40000, too long for str()
+    source = tmp_path / "huge.alg"
+    source.write_text(
+        "gen x even\ngen y even\ngen z even\n"
+        "rule y*x = 2^20000*x*y\nrule z*x = x*z\nrule z*y = y*z + 2^20000*x*x\n"
+    )
+    code = main(["--load", str(source), "normalize", "x"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {source}: rules are not confluent: the two reductions of z*y*x"
+        " hold an integer too long to print\n"
+    )
+
+
 @pytest.mark.parametrize(
     "lines, number, message",
     [

@@ -20,6 +20,11 @@
 * One function, ``scalar.make_room``, compares a length with a cap, and
   every other use of a ``*_CAP`` constant passes it to ``make_room`` or to
   ``functools.lru_cache``: each bounded memo follows the one rule.
+* ``SuperTensor._wrap``, which skips the entry checks, is called only from
+  ``SuperTensor.__mul__`` and ``embed``, whose entries come from checked
+  tensors, so it cannot spread to a builder of user entries.
+* Setting ``_terms`` or ``_hash`` on an ``Element`` raises: the hash an
+  element caches stays right only because the element cannot change.
 """
 
 import ast
@@ -28,6 +33,8 @@ import re
 from pathlib import Path
 
 import pytest
+
+from hsuperplane.algebra import Element
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "hsuperplane"
@@ -204,3 +211,42 @@ def test_one_function_bounds_every_memo():
         ]
     assert comparing == {"scalar.make_room"}
     assert other_uses == []
+
+
+def _calling_functions(attr: str, skip_owner: str) -> set:
+    """``module.function`` (``module.Class.method``) of every place in src/
+    that loads ``attr`` from anything but the name ``skip_owner``."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if (
+                isinstance(child, ast.Attribute)
+                and child.attr == attr
+                and _name(child.value) != skip_owner
+            ):
+                found.add(".".join(scope))
+            visit(child, scope)
+
+    for path in MODULES:
+        visit(_tree(path), [path.stem])
+    return found
+
+
+def test_trusted_tensor_constructor_has_two_callers():
+    assert _calling_functions("_wrap", "Element") == {
+        "rmatrix.SuperTensor.__mul__",
+        "rmatrix.embed",
+    }
+
+
+@pytest.mark.parametrize("slot", ["_terms", "_hash"])
+def test_element_slots_cannot_be_set(slot):
+    element = Element.word(("x",))
+    hashed = hash(element)
+    with pytest.raises(AttributeError):
+        setattr(element, slot, {})
+    assert hash(element) == hashed and element == Element.word(("x",))

@@ -17,6 +17,7 @@ from hsuperplane.rmatrix import (
     SuperIndex,
     SuperMatrix,
     SuperTensor,
+    TENSOR_BUILDERS,
     _free_product,
     build_K_h,
     build_K_hq,
@@ -228,6 +229,27 @@ def test_tensor_builders_return_fresh_tensors():
     build_Khat_h().entries.clear()
     assert build_R_h() == build_P() * build_Khat_h()
     assert ybe_report().passed
+
+
+def test_trusted_tensors_pass_the_checks_they_skip(monkeypatch):
+    # every product and embedding that ybe, rtt and regenerate compute, the
+    # products that build their once-per-process tensors included, is built
+    # by SuperTensor._wrap; the checked constructor must accept and rebuild it
+    built = []
+    wrap = SuperTensor._wrap
+
+    def recording(presentation, rank, entries):
+        built.append(wrap(presentation, rank, entries))
+        return built[-1]
+
+    monkeypatch.setattr(SuperTensor, "_wrap", staticmethod(recording))
+    assert ybe_report().passed and rtt_report().passed and regeneration_report().passed
+    for build in TENSOR_BUILDERS.values():
+        build()
+    regenerate_calculus(build_K_h())
+    assert {t.rank for t in built} == {4, 6}
+    for t in built:
+        assert SuperTensor(t.presentation, t.rank, t.entries) == t
 
 
 def test_ybe_report_passes():
