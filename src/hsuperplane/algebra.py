@@ -31,16 +31,13 @@ _RESERVED_NAMES = frozenset({"q", "i", "d"})
 # entries of each word memo (see linear_extension, normal_form and act)
 WORD_MEMO_CAP = 4096
 
-# product-table mark of a (word, letter) pair whose rewriting has started but
-# not finished
-_PENDING = object()
-
 
 def _accumulate(terms: dict, word: Word, coeff: ScalarQ) -> None:
-    """Add ``coeff`` to ``terms[word]``, dropping the entry when it sums to 0."""
+    """Add ``coeff`` to ``terms[word]``, dropping the entry when it sums to 0;
+    scalars are interned, so a zero sum is the one object ``ZERO``."""
     acc = terms.get(word)
     acc = coeff if acc is None else acc + coeff
-    if acc.is_zero():
+    if acc is ZERO:
         terms.pop(word, None)
     else:
         terms[word] = acc
@@ -99,12 +96,6 @@ class Generator:
     order_index: int
 
 
-def _coerce_scalar(value) -> ScalarQ:
-    if isinstance(value, ScalarQ):
-        return value
-    return sc(value)
-
-
 class Element:
     """Linear combination of words with ScalarQ coefficients.
 
@@ -120,7 +111,7 @@ class Element:
         data = {}
         if terms:
             for word, coeff in terms.items():
-                coeff = _coerce_scalar(coeff)
+                coeff = sc(coeff)
                 if not coeff.is_zero():
                     data[tuple(word)] = coeff
         _set_terms(self, data)
@@ -142,11 +133,11 @@ class Element:
 
     @staticmethod
     def scalar(value) -> "Element":
-        return Element({(): _coerce_scalar(value)})
+        return Element({(): sc(value)})
 
     @staticmethod
     def word(word: Iterable[str], coeff=ONE) -> "Element":
-        return Element({tuple(word): _coerce_scalar(coeff)})
+        return Element({tuple(word): sc(coeff)})
 
     @staticmethod
     def generator(name: str) -> "Element":
@@ -241,7 +232,7 @@ class Element:
         return NotImplemented
 
     def scale(self, value) -> "Element":
-        value = _coerce_scalar(value)
+        value = sc(value)
         if value.is_zero():
             return Element()
         return Element._wrap({w: c * value for w, c in self._terms.items()})
@@ -528,13 +519,9 @@ class Presentation:
         head, tail = word[:i], word[i + 2:]
         return [(head + rw + tail, rc) for rw, rc in terms]
 
-    def _first_reducible(self, word: Word, strategy: str = "leftmost"):
-        if strategy == "rightmost":
-            positions = reversed(range(len(word) - 1))
-        else:
-            positions = range(len(word) - 1)
+    def _first_reducible(self, word: Word):
         pairs = self._pairs
-        for i in positions:
+        for i in range(len(word) - 1):
             if (word[i], word[i + 1]) in pairs:
                 return i
         return None
@@ -565,41 +552,47 @@ class Presentation:
         is rewritten once for as long as the table lasts, and those of input
         words in its cache.  ``scalar.make_room`` bounds them by
         ``PRODUCT_TABLE_CAP`` and ``WORD_MEMO_CAP``; the table makes room only
-        as a call starts, since a clear mid-call would drop its ``_PENDING``
-        marks.  ``strategy="rightmost"`` rewrites the last reducible pair
-        and follows every rewrite path with no table and no cache; on a
-        confluent presentation both give the same result.
+        as a call starts, so every product a call finishes stays there for
+        the rest of the call.  ``strategy="rightmost"`` rewrites the last
+        reducible pair and follows every rewrite path, reading neither the
+        table nor the cache; on a confluent presentation both give the same
+        result.
 
         The budget, ``DEFAULT_MAX_STEPS`` = 5,000,000 work units unless
         ``max_steps`` is given, bounds the work of one call.  A leftmost work
         unit is one letter of each ``v*g`` rewritten in the call; a
         rightmost one is one letter of each word rewritten.  A runaway rule
         set that grows its words is cut off early, and one whose rewriting
-        of ``v*g`` comes back to ``v*g`` is stopped at once.  A call that
-        raises keeps in the table only the products it finished.
+        of ``v*g`` comes back to ``v*g`` is stopped at once.  The table only
+        ever holds finished products, so a call that raises keeps those it
+        finished and no others.
         """
         element = as_element(element)
-        if strategy not in ("leftmost", "rightmost"):
+        if strategy == "leftmost":
+            return Element._wrap(self._normal_terms(element._terms.items(), max_steps))
+        if strategy != "rightmost":
             raise ValueError(f"unknown rewriting strategy {strategy!r}")
-        return Element._wrap(self._normal_terms(element._terms.items(), strategy, max_steps))
-
-    def _normal_terms(self, terms, strategy="leftmost", max_steps=None) -> dict:
-        """The work of ``normal_form`` on (word, coefficient) pairs, with no
-        Element built: the normal form's terms as a new dict."""
         budget = max_steps if max_steps is not None else self.DEFAULT_MAX_STEPS
-        leftmost = strategy == "leftmost"
+        spent = 0
+        out = {}
+        for start, coeff in element._terms.items():
+            self._check_letters(start)
+            spent = self._reduce_rightmost(start, coeff, out, spent, budget)
+        return Element._wrap(out)
+
+    def _normal_terms(self, terms, max_steps=None) -> dict:
+        """The leftmost work of ``normal_form`` on (word, coefficient) pairs,
+        with no Element built: the normal form's terms as a new dict."""
+        budget = max_steps if max_steps is not None else self.DEFAULT_MAX_STEPS
         make_room(self._products, self.PRODUCT_TABLE_CAP)
         spent = 0
         out = {}
         for start_word, start_coeff in terms:
-            result = self._nf_cache.get(start_word) if leftmost else None
+            result = self._nf_cache.get(start_word)
             if result is None:
                 self._check_letters(start_word)
-                if leftmost:
-                    result, spent = self._fold_letters(start_word, spent, budget)
-                    make_room(self._nf_cache, WORD_MEMO_CAP)[start_word] = result
-                else:
-                    result, spent = self._reduce_rightmost(start_word, spent, budget)
+                result, spent = self._fold_letters(start_word, spent, budget)
+                make_room(self._nf_cache, WORD_MEMO_CAP)[start_word] = result
             for w, c in result.items():
                 _accumulate(out, w, c if start_coeff is ONE else c * start_coeff)
         return out
@@ -612,62 +605,58 @@ class Presentation:
         the pair (v, g) it needs; the driver pushes its rewriting, a
         one-term (rw, c) as ``_insert({v[:-1]: c}, rw)`` and any other
         through ``_product``, then stores the terms as a tuple and sends
-        them back.  Pairs being rewritten are marked ``_PENDING`` in the
-        product table until they finish, and unmarked if the call raises.
+        them back.  The pairs being rewritten wait in ``pending``, in the
+        order they started, and enter the product table only when they
+        finish: a pair met again while pending is a cycle.
         """
         products, pairs = self._products, self._pairs
         stack = [self._insert({(): ONE}, start)]
-        pending = []
+        pending = {}
         value = None
-        try:
-            while True:
-                try:
-                    pair = stack[-1].send(value)
-                except StopIteration as done:
-                    value = done.value
-                    stack.pop()
-                    if not stack:
-                        return value, spent
-                    value = products[pending.pop()] = tuple(value.items())
-                    continue
-                v, g = pair
-                word = v + (g,)
-                if pair in products:
-                    raise self._nonterminating(
-                        "rewriting cycles back to a word it is still reducing",
-                        start, word, spent,
-                    )
-                spent = self._spend(start, word, spent, budget)
-                products[pair] = _PENDING
-                pending.append(pair)
-                rewrite = pairs[v[-1], g]
-                if len(rewrite) == 1:
-                    (rw, c), = rewrite
-                    stack.append(self._insert({v[:-1]: c}, rw))
-                else:
-                    stack.append(self._product(v, g))
-                value = None
-        finally:
-            for pair in pending:
-                del products[pair]
+        while True:
+            try:
+                pair = stack[-1].send(value)
+            except StopIteration as done:
+                stack.pop()
+                if not stack:
+                    return done.value, spent
+                value = products[pending.popitem()[0]] = tuple(done.value.items())
+                continue
+            v, g = pair
+            word = v + (g,)
+            if pair in pending:
+                raise self._nonterminating(
+                    "rewriting cycles back to a word it is still reducing",
+                    start, word, spent,
+                )
+            spent = self._spend(start, word, spent, budget)
+            pending[pair] = None
+            rewrite = pairs[v[-1], g]
+            if len(rewrite) == 1:
+                (rw, c), = rewrite
+                stack.append(self._insert({v[:-1]: c}, rw))
+            else:
+                stack.append(self._product(v, g))
+            value = None
 
     def _insert(self, terms: dict, letters: Word):
         """Generator: the normal-form terms of sum(c * v * letters) over the
         (v, c) of ``terms``, whose words are normal.
 
-        Yields each reducible (v, g) that the product table does not have
-        yet and receives the (word, coefficient) pairs of its normal form.
-        Taking a dict rather than a start word keeps no reference to that
-        word once its first letter is in, so a chain of pending pairs holds
-        one word per pair.
+        Yields each reducible (v, g) that the product table does not hold
+        and receives the (word, coefficient) pairs of its normal form; the
+        table holds only finished products, so a hit is final.  Taking a
+        dict rather than a start word keeps no reference to that word once
+        its first letter is in, so a chain of pending pairs holds one word
+        per pair.
         """
         pairs, products = self._pairs, self._products
         for g in letters:
             out = {}
             for v, c in terms.items():
                 if v and (v[-1], g) in pairs:
-                    vg = products.get((v, g), _PENDING)
-                    if vg is _PENDING:
+                    vg = products.get((v, g))
+                    if vg is None:
                         vg = yield v, g
                     for w, c2 in vg:
                         _accumulate(out, w, c2 if c is ONE else c * c2)
@@ -687,22 +676,25 @@ class Presentation:
                 _accumulate(out, w, c2 if c is ONE else c * c2)
         return out
 
-    def _reduce_rightmost(self, start: Word, spent: int, budget: int):
-        """Rightmost normal-form terms of ``start`` and the work units spent,
-        following every rewrite path to its end: the memo-free reference
-        that the leftmost walk is checked against."""
-        terms = {}
-        stack = [(start, ONE)]
+    def _reduce_rightmost(self, start: Word, coeff, out: dict, spent: int, budget: int) -> int:
+        """Add ``coeff`` times the rightmost normal form of ``start`` to
+        ``out`` and return the work units spent, following every rewrite
+        path to its end: the memo-free reference that the leftmost walk is
+        checked against."""
+        pairs = self._pairs
+        stack = [(start, coeff)]
         while stack:
             w, c = stack.pop()
-            i = self._first_reducible(w, "rightmost")
-            if i is None:
-                _accumulate(terms, w, c)
+            for i in reversed(range(len(w) - 1)):
+                if (w[i], w[i + 1]) in pairs:
+                    break
+            else:
+                _accumulate(out, w, c)
                 continue
             spent = self._spend(start, w, spent, budget)
             for w2, c2 in self._step_at(w, i):
                 stack.append((w2, c * c2))
-        return terms, spent
+        return spent
 
     def _spend(self, start: Word, word: Word, spent: int, budget: int) -> int:
         spent += len(word)

@@ -13,7 +13,8 @@ the deformation parameter and the imaginary unit, ``parse_rule`` may name more
 scalar constants, and every other name must be a generator of the presentation
 in scope.  Negative powers and division are only defined for scalar-valued
 subexpressions, so printed coefficients like ``q^-1`` read back in.  Parsing
-produces free elements; nothing is rewritten.
+produces free elements; nothing is rewritten.  Nesting too deep for the
+interpreter's recursion limit is an ``ExprSyntaxError``.
 """
 
 from __future__ import annotations
@@ -131,7 +132,10 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "END":
             raise ExprSyntaxError("empty expression", tok.pos)
-        return self.expr()
+        try:
+            return self.expr()
+        except RecursionError:
+            raise ExprSyntaxError("expression nested too deeply", self.peek().pos) from None
 
     def end(self) -> None:
         tok = self.peek()

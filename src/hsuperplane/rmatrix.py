@@ -24,6 +24,7 @@ from .presentations import (
     CALCULUS_DERIVATIVES,
     CALCULUS_GENERATORS,
     InconsistentSystemError,
+    _at_q_one,
     _relation_forms,
     get_presentation,
     solve_linear,
@@ -266,18 +267,14 @@ def build_K_hq() -> SuperTensor:
     )
 
 
-def _limit_entry(element: Element) -> Element:
-    return element.map_coefficients(lambda s: s.limit_at_one())
-
-
 def build_K_h() -> SuperTensor:
     """The q -> 1 limit of K_{h,q}."""
-    return build_K_hq().map_entries(_limit_entry)
+    return build_K_hq().map_entries(_at_q_one)
 
 
 def build_Khat_h() -> SuperTensor:
     """The q -> 1 limit of K_{h,q} P (the braid form of the K-matrix)."""
-    return (build_K_hq() * build_P()).map_entries(_limit_entry)
+    return (build_K_hq() * build_P()).map_entries(_at_q_one)
 
 
 def build_R_h() -> SuperTensor:

@@ -18,10 +18,11 @@ Most scalars met in practice are Laurent monomials c*q^k (k any integer),
 and those take exponent arithmetic, never a convolution or Euclid: a
 product of two is (c1*c2)*q^(k1+k2), built directly in canonical form; a
 monomial times a general N/D scales N and cancels only the power of q it
-can share with D or N, since N and D are coprime; division multiplies by
-the divisor's inverse (for N/D, D/N made monic, with no gcd); sums of two
-monomials with the same exponent, negations and ``qpow`` go through the
-same constructor.  Every path keeps the canonical invariant.
+can share with D or N, since N and D are coprime; sums of two monomials
+with the same exponent and ``qpow`` go through the same constructor.
+Negation and division need no such case for a monomial: -N/D is
+canonical as it stands, and division multiplies by the divisor's inverse,
+D/N made monic, with no gcd.  Every path keeps the canonical invariant.
 
 Scalars are hash-consed: ``ScalarQ._canonical`` is the only place that
 creates one, and it first looks the canonical pair up in a weak intern
@@ -359,8 +360,7 @@ class ScalarQ:
         elif not any(den.coeffs[:-1]):
             # den = c*q^k; gcd(num, den) = q^min(k, v), v the lowest degree in num
             k = den.degree
-            v = next(j for j, c in enumerate(num.coeffs) if c)
-            shift = min(k, v)
+            shift = min(k, _low_degree(num.coeffs))
             if shift:
                 num = PolyQ(num.coeffs[shift:])
             lead = den.lead
@@ -454,7 +454,9 @@ class ScalarQ:
     def __neg__(self):
         out = _NEGATIONS.get(self)
         if out is None:
-            out = make_room(_NEGATIONS, SCALAR_TABLE_CAP)[self] = _negation(self)
+            out = make_room(_NEGATIONS, SCALAR_TABLE_CAP)[self] = ScalarQ._canonical(
+                -self.num, self.den
+            )
         return out
 
     def __sub__(self, other):
@@ -485,9 +487,6 @@ class ScalarQ:
             return NotImplemented
         if other.is_zero():
             raise DivisionByZero("scalar division by zero")
-        m = other._monomial()
-        if m is not None:
-            return _product(self, _laurent(_G_ONE / m[0], -m[1]))
         # N, D coprime: D/N over lead(N) is the canonical inverse, with no gcd
         lead = _G_ONE / other.num.lead
         return _product(self, ScalarQ._canonical(other.den.scale(lead), other.num.scale(lead)))
@@ -626,13 +625,6 @@ def _sum(a: ScalarQ, b: ScalarQ) -> ScalarQ:
     return ScalarQ(a.num * b.den + b.num * a.den, a.den * b.den)
 
 
-def _negation(a: ScalarQ) -> ScalarQ:
-    m = a._monomial()
-    if m is not None:
-        return _laurent(-m[0], m[1])
-    return ScalarQ._canonical(-a.num, a.den)
-
-
 # the weak intern table: (num.coeffs, den.coeffs) -> the one live scalar
 _INTERNED = weakref.WeakValueDictionary()
 # small integers coerce to these constants without an intern lookup
@@ -644,7 +636,10 @@ Q = ScalarQ(PolyQ.variable())
 
 
 def sc(value) -> ScalarQ:
-    """Coerce an int, Fraction, or GaussianRational to a ScalarQ."""
+    """Coerce an int, Fraction, or GaussianRational to a ScalarQ; a ScalarQ
+    is returned as it is."""
+    if type(value) is ScalarQ:
+        return value
     out = ScalarQ._coerce(value)
     if out is NotImplemented:
         raise TypeError(f"cannot coerce {value!r} to ScalarQ")

@@ -275,6 +275,22 @@ def test_product_table_is_cleared_past_its_cap(plane):
     assert not plane._products
 
 
+def test_product_table_holds_only_finished_products():
+    # th moves left past two x's, so the pair (x*x, th) is still being
+    # rewritten when its inner pair (x, th) is charged to the budget
+    p = build_q_superplane()
+    spend = p._spend
+    finished = []
+
+    def watched(*args):
+        finished.append(all(type(terms) is tuple for terms in p._products.values()))
+        return spend(*args)
+
+    p._spend = watched
+    assert p.normal_form(word("x", "x", "th")) == Element.word(("th", "x", "x"), qpow(2))
+    assert finished == [True, True]
+
+
 def test_unknown_letters_raise_in_every_word(plane):
     for strategy in ("leftmost", "rightmost"):
         for w in (("zzz",), ("x", "zzz"), ("zzz", "x")):

@@ -81,6 +81,14 @@ def test_integer_too_long_exits_2(argv, message, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command, inner", [("normalize", "x"), ("limit", "q")])
+def test_deep_nesting_exits_2(command, inner, capsys):
+    assert main([command, "(" * 1000 + inner + ")" * 1000]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: expression nested too deeply (at offset ")
+    assert captured.out == ""
+
+
 # -- verify ----------------------------------------------------------------------
 
 
@@ -339,6 +347,7 @@ def test_load_rejects_non_confluent_rules_with_an_unprintable_overlap(tmp_path, 
         (["gen q even"], 1, "bad generator name 'q'"),
         (["gen u even", "rule u*u = u^²"], 2, "unexpected character '²'"),
         (["gen u even", "rule u*u = " + "7" * 5000 + "*u"], 2, "5000-digit integer too long"),
+        (["gen u even", "rule u*u = " + "(" * 1000 + "u" + ")" * 1000], 2, "nested too deeply"),
     ],
     ids=[
         "gen",
@@ -353,6 +362,7 @@ def test_load_rejects_non_confluent_rules_with_an_unprintable_overlap(tmp_path, 
         "gen-reserved",
         "rule-unicode-digit",
         "rule-long-literal",
+        "rule-nested",
     ],
 )
 def test_load_rejects_malformed_lines(tmp_path, capsys, lines, number, message):

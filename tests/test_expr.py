@@ -144,6 +144,22 @@ def test_empty_expression(plane):
         parse_element("   ", plane)
 
 
+@pytest.mark.parametrize(
+    "parse",
+    [
+        parse_element,
+        lambda text, p: parse_relation(text + " = x", p),
+        lambda text, p: parse_relation("x = " + text, p),
+        lambda text, p: parse_scalar(text.replace("x", "q")),
+    ],
+    ids=["element", "relation-lhs", "relation-rhs", "scalar"],
+)
+def test_deep_nesting_is_a_syntax_error(plane, parse):
+    # the offset depends on the recursion limit, so it is not pinned
+    with pytest.raises(ExprSyntaxError, match="expression nested too deeply"):
+        parse("(" * 1000 + "x" + ")" * 1000, plane)
+
+
 def test_bad_character_offset(plane):
     with pytest.raises(ExprSyntaxError) as err:
         parse_element("x + $", plane)

@@ -141,6 +141,19 @@ def test_warm_presentation_matches_fresh_one(name, cap, monkeypatch):
     check()
 
 
+def test_rightmost_reads_neither_the_cache_nor_the_product_table():
+    # a wrong cached normal form of x*th, and a wrong product for (x, th),
+    # which the leftmost walk of x*x*th reads
+    p = rebuilt(get_presentation("q-superplane"))
+    inputs = (word("x", "th"), word("x", "x", "th"))
+    expected = [p.normal_form(e, strategy="rightmost") for e in inputs]
+    p._nf_cache[("x", "th")] = {("x",): sc(5)}
+    p._products[("x",), "th"] = ((("x",), sc(5)),)
+    for e, nf in zip(inputs, expected):
+        assert p.normal_form(e) != nf
+        assert p.normal_form(e, strategy="rightmost") == nf
+
+
 def test_non_confluent_presentation_keeps_leftmost_semantics():
     p = Presentation(
         "nc",
