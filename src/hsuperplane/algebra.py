@@ -547,10 +547,12 @@ class Presentation:
         otherwise ``v*g`` is rewritten at that pair, which is the leftmost
         one, and the letters of each term of the rewrite are inserted into
         ``v`` less its last letter (carrying its coefficient from the start
-        when the rewrite has one term).  The normal-form terms of each such
-        ``v*g`` are kept in the presentation's product table, so each pair
-        is rewritten once for as long as the table lasts, and those of input
-        words in its cache.  ``scalar.make_room`` bounds them by
+        when the rewrite has one term).  A one-term rewrite whose first
+        letter meets another one-term pair is followed there at once, as one
+        chain.  The normal-form terms of each ``v*g`` that starts a chain, or
+        whose rewrite has another number of terms, are kept in the
+        presentation's product table, and those of input words in its
+        cache.  ``scalar.make_room`` bounds them by
         ``PRODUCT_TABLE_CAP`` and ``WORD_MEMO_CAP``; the table makes room only
         as a call starts, so every product a call finishes stays there for
         the rest of the call.  ``strategy="rightmost"`` rewrites the last
@@ -600,17 +602,24 @@ class Presentation:
     def _fold_letters(self, start: Word, spent: int, budget: int):
         """Leftmost normal-form terms of ``start`` and the work units spent.
 
-        Drives ``_insert`` and ``_product`` from an explicit stack, so no
-        chain of rewrites deepens the Python stack: each generator yields
-        the pair (v, g) it needs; the driver pushes its rewriting, a
-        one-term (rw, c) as ``_insert({v[:-1]: c}, rw)`` and any other
-        through ``_product``, then stores the terms as a tuple and sends
-        them back.  The pairs being rewritten wait in ``pending``, in the
-        order they started, and enter the product table only when they
-        finish: a pair met again while pending is a cycle.
+        The longest prefix of ``start`` with no reducible pair is normal, so
+        the fold starts from it.  Drives ``_insert`` and ``_product`` from an
+        explicit stack, so no nesting of rewrites deepens the Python stack:
+        each generator yields the pair (v, g) it needs; the driver pushes its
+        rewriting and, when it finishes, stores the terms as a tuple and
+        sends them back.  A one-term rewrite is followed as a chain while the
+        first letter left to insert forms, with the last letter of the word
+        it goes into, another one-term pair that the table does not hold:
+        each step is charged, and the letters left are pushed as one
+        ``_insert``.  Only the pair that started the chain is stored.  The
+        pairs being rewritten wait in ``pending``, in the order they started,
+        and enter the product table only when they finish: a pair met again
+        while pending, at the head of a chain or inside one, is a cycle.
         """
         products, pairs = self._products, self._pairs
-        stack = [self._insert({(): ONE}, start)]
+        k = self._first_reducible(start)
+        k = len(start) if k is None else k + 1
+        stack = [self._insert({start[:k]: ONE}, start[k:])]
         pending = {}
         value = None
         while True:
@@ -622,21 +631,32 @@ class Presentation:
                     return done.value, spent
                 value = products[pending.popitem()[0]] = tuple(done.value.items())
                 continue
-            v, g = pair
-            word = v + (g,)
-            if pair in pending:
-                raise self._nonterminating(
-                    "rewriting cycles back to a word it is still reducing",
-                    start, word, spent,
-                )
-            spent = self._spend(start, word, spent, budget)
+            u, g = pair
+            rewrite = pairs[u[-1], g]
+            c, letters = ONE, (g,)
+            while True:
+                word = u + (g,)
+                if (u, g) in pending:
+                    raise self._nonterminating(
+                        "rewriting cycles back to a word it is still reducing",
+                        start, word, spent,
+                    )
+                spent = self._spend(start, word, spent, budget)
+                if len(rewrite) != 1:
+                    frame = self._product(u, g)
+                    break
+                (rw, c2), = rewrite
+                c = c2 if c is ONE else c * c2
+                u, letters = u[:-1], rw + letters[1:]
+                if u and letters:
+                    g = letters[0]
+                    rewrite = pairs.get((u[-1], g), ())
+                    if len(rewrite) == 1 and (u, g) not in products:
+                        continue
+                frame = self._insert({u: c}, letters)
+                break
             pending[pair] = None
-            rewrite = pairs[v[-1], g]
-            if len(rewrite) == 1:
-                (rw, c), = rewrite
-                stack.append(self._insert({v[:-1]: c}, rw))
-            else:
-                stack.append(self._product(v, g))
+            stack.append(frame)
             value = None
 
     def _insert(self, terms: dict, letters: Word):

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -289,6 +290,50 @@ def test_product_table_holds_only_finished_products():
     p._spend = watched
     assert p.normal_form(word("x", "x", "th")) == Element.word(("th", "x", "x"), qpow(2))
     assert finished == [True, True]
+
+
+def test_one_term_chain_stores_only_its_head():
+    # th moves left past x*x in one chain of swaps: the pair (x, th) that the
+    # chain passes through is rewritten but not stored
+    p = build_q_superplane()
+    assert p.normal_form(word("x", "x", "th")) == Element.word(("th", "x", "x"), qpow(2))
+    assert list(p._products) == [(("x", "x"), "th")]
+
+
+def test_chain_stops_at_a_stored_product():
+    # (x, th) is in the table, so the chain from (x*x*x, th) charges 4 + 3
+    # units and takes the stored product instead of rewriting it again
+    p = build_q_superplane()
+    p.normal_form(word("x", "th"))
+    e = word("x", "x", "x", "th")
+    with pytest.raises(NonTerminatingError, match=r"current word of length 3, 7 work units spent$"):
+        p.normal_form(e, max_steps=6)
+    assert p.normal_form(e, max_steps=7) == Element.word(("th", "x", "x", "x"), qpow(3))
+
+
+def test_cycle_reached_inside_a_chain_raises():
+    # the planted cycle a*b -> b*a -> a*b is first met inside the chain from
+    # (a*a, b); a chain step is not pending, so the units are not pinned
+    p = Presentation("cyclic", [("a", 0), ("b", 0)])
+    p._pairs[("a", "b")] = ((("b", "a"), ONE),)
+    with pytest.raises(NonTerminatingError, match="cycles back"):
+        p.normal_form(word("a", "a", "b"))
+    # b*b is still pending when the chain from (b*c, a) reaches it: the chain
+    # raises there, before rewriting b*b again
+    p = Presentation("planted", [("a", 0), ("b", 0), ("c", 0)])
+    p._pairs[("b", "b")] = ((("c", "b", "a"), ONE),)
+    p._pairs[("c", "a")] = ((("b",), ONE),)
+    with pytest.raises(NonTerminatingError, match=r"cycles back .* length 2, 7 work units spent$"):
+        p.normal_form(word("b", "b", "a"))
+
+
+def test_normal_word_folds_in_linear_time():
+    # a word with no reducible pair is its own normal form, found by one scan
+    p = build_q_superplane()
+    e = Element.word(("x",) * 20000)
+    t0 = time.perf_counter()
+    assert p.normal_form(e) == e
+    assert time.perf_counter() - t0 < 0.5
 
 
 def test_unknown_letters_raise_in_every_word(plane):
