@@ -7,9 +7,12 @@ scalars is a structural comparison, never a numerical one.  The q -> 1
 specialisation needed by the contraction machinery is provided by
 ``ScalarQ.limit_at_one``, which raises ``PoleAtOne`` on a genuine pole.
 
-Each component of a Gaussian rational is a plain ``int`` when it is
-integral and a ``Fraction`` only otherwise; division goes through
-``Fraction`` and integral results come back as ``int``.  Reducing a scalar
+A polynomial coefficient is an ``int`` when integral, a ``Fraction`` when
+real and not integral, and a ``GaussianRational`` only when its imaginary
+part is nonzero: a real result goes back to ``int`` or ``Fraction``, and
+division goes through ``Fraction``, never ``/`` on ints, so most arithmetic
+is on ints.  ``PolyQ.coeffs`` and ``lead`` are ``GaussianRational`` views,
+for outside readers.  Reducing a scalar
 needs no polynomial gcd when its denominator is 1 or a monomial c*q^k: the
 gcd is then a power of q, removed by shifting coefficients.  Only a
 denominator with two or more terms, such as q-1, runs Euclid's algorithm.
@@ -62,6 +65,33 @@ def _rational(x: _RationalLike) -> _RationalLike:
     if type(x) is not Fraction:
         x = Fraction(x)
     return x.numerator if x.denominator == 1 else x
+
+
+def _native(x):
+    """``x`` as a canonical coefficient: an ``int`` when integral, else a
+    ``Fraction`` when real, else a ``GaussianRational`` with nonzero ``im``."""
+    if type(x) is int:
+        return x
+    if isinstance(x, GaussianRational):
+        return x if x.im else x.re
+    return _rational(x)
+
+
+def _normal(cs: list) -> tuple:
+    """``cs`` as canonical coefficients without trailing zeros; the sum is an
+    ``int`` only when every term is, and only then is ``_native`` skipped."""
+    while cs and not cs[-1]:
+        cs.pop()
+    if type(sum(cs)) is not int:
+        cs = [_native(c) for c in cs]
+    return tuple(cs)
+
+
+def _div(a, b):
+    """The exact quotient a/b of two coefficients, canonical."""
+    if type(a) is GaussianRational or type(b) is GaussianRational:
+        return _native(a / b)
+    return _rational(Fraction(a, b))
 
 
 class GaussianRational:
@@ -166,26 +196,19 @@ class GaussianRational:
         return f"{self.re}{op}{imag}"
 
 
-_G_ZERO = GaussianRational(0)
-_G_ONE = GaussianRational(1)
-
-
 class PolyQ:
-    """Polynomial in q over the Gaussian rationals, coefficients ascending."""
+    """Polynomial in q over the Gaussian rationals, coefficients ascending in ``_c``."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_c",)
 
     def __init__(self, coeffs=()):
-        cs = [c if isinstance(c, GaussianRational) else GaussianRational(c) for c in coeffs]
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "_c", _normal([_native(c) for c in coeffs]))
 
     @staticmethod
     def _canonical(coeffs: tuple) -> "PolyQ":
-        """Wrap a tuple of GaussianRationals with no trailing zero, unchecked."""
+        """Wrap a tuple of canonical coefficients with no trailing zero, unchecked."""
         out = object.__new__(PolyQ)
-        object.__setattr__(out, "coeffs", coeffs)
+        object.__setattr__(out, "_c", coeffs)
         return out
 
     def __setattr__(self, name, value):
@@ -200,72 +223,75 @@ class PolyQ:
         return PolyQ([0, 1])
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._c
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients as ``GaussianRational``s, a copy of ``_c``."""
+        return tuple(map(GaussianRational._coerce, self._c))
 
     @property
     def degree(self) -> int:
         """Degree, with the zero polynomial assigned -1."""
-        return len(self.coeffs) - 1
+        return len(self._c) - 1
 
     @property
     def lead(self) -> GaussianRational:
-        return self.coeffs[-1] if self.coeffs else _G_ZERO
+        return GaussianRational._coerce(self._c[-1] if self._c else 0)
 
-    def scale(self, c: GaussianRational) -> "PolyQ":
-        return PolyQ([a * c for a in self.coeffs])
+    def scale(self, c) -> "PolyQ":
+        return PolyQ._canonical(_normal([a * c for a in self._c]))
 
     def monic(self) -> "PolyQ":
         if self.is_zero():
             return self
-        return self.scale(_G_ONE / self.lead)
+        return self.scale(_div(1, self._c[-1]))
 
     def __add__(self, other: "PolyQ") -> "PolyQ":
-        a, b = self.coeffs, other.coeffs
+        a, b = self._c, other._c
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for k, c in enumerate(b):
-            out[k] = out[k] + c
-        return PolyQ(out)
+        out = [x + y for x, y in zip(a, b)]
+        out.extend(a[len(b):])
+        return PolyQ._canonical(_normal(out))
 
     def __neg__(self) -> "PolyQ":
-        return PolyQ([-c for c in self.coeffs])
+        return PolyQ._canonical(tuple(-c for c in self._c))
 
     def __sub__(self, other: "PolyQ") -> "PolyQ":
         return self + (-other)
 
     def __mul__(self, other: "PolyQ") -> "PolyQ":
-        if self.is_zero() or other.is_zero():
-            return PolyQ()
+        a, b = self._c, other._c
+        if not a or not b:
+            return _P_ZERO
         # a constant operand, such as a denominator 1, needs no convolution
-        if len(other.coeffs) == 1:
-            return self.scale(other.coeffs[0])
-        if len(self.coeffs) == 1:
-            return other.scale(self.coeffs[0])
-        out = [_G_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for j, a in enumerate(self.coeffs):
-            if a.is_zero():
+        if len(b) == 1:
+            return self.scale(b[0])
+        if len(a) == 1:
+            return other.scale(a[0])
+        out = [0] * (len(a) + len(b) - 1)
+        for j, x in enumerate(a):
+            if not x:
                 continue
-            for k, b in enumerate(other.coeffs):
-                out[j + k] = out[j + k] + a * b
-        return PolyQ(out)
+            for k, y in enumerate(b):
+                out[j + k] += x * y
+        return PolyQ._canonical(_normal(out))
 
     def __divmod__(self, other: "PolyQ"):
         if other.is_zero():
             raise DivisionByZero("polynomial division by zero")
-        rem = list(self.coeffs)
-        quo = [_G_ZERO] * max(len(rem) - len(other.coeffs) + 1, 0)
-        dlead = other.lead
-        dlen = len(other.coeffs)
-        while len(rem) >= dlen:
-            c = rem[-1] / dlead
-            shift = len(rem) - dlen
+        rem, div = list(self._c), other._c
+        quo = [0] * max(len(rem) - len(div) + 1, 0)
+        while len(rem) >= len(div):
+            c = _div(rem[-1], div[-1])
+            shift = len(rem) - len(div)
             quo[shift] = c
-            for k, b in enumerate(other.coeffs):
-                rem[shift + k] = rem[shift + k] - c * b
-            while rem and rem[-1].is_zero():
+            for k, b in enumerate(div):
+                rem[shift + k] -= c * b
+            while rem and not rem[-1]:
                 rem.pop()
-        return PolyQ(quo), PolyQ(rem)
+        return PolyQ._canonical(_normal(quo)), PolyQ._canonical(_normal(rem))
 
     def __floordiv__(self, other: "PolyQ") -> "PolyQ":
         return divmod(self, other)[0]
@@ -280,42 +306,41 @@ class PolyQ:
             a, b = b, a % b
         return a.monic()
 
-    def evaluate(self, value: GaussianRational) -> GaussianRational:
-        acc = _G_ZERO
-        for c in reversed(self.coeffs):
+    def evaluate(self, value):
+        acc = 0
+        for c in reversed(self._c):
             acc = acc * value + c
-        return acc
+        return _native(acc)
 
     def conjugate(self) -> "PolyQ":
         """Complex-conjugate the coefficients; q itself stays fixed."""
-        return PolyQ([c.conjugate() for c in self.coeffs])
+        return PolyQ._canonical(tuple(c.conjugate() for c in self._c))
 
     def __eq__(self, other):
-        return isinstance(other, PolyQ) and self.coeffs == other.coeffs
+        return isinstance(other, PolyQ) and self._c == other._c
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash(self._c)
 
     def __bool__(self):
         return not self.is_zero()
 
     def __repr__(self):
-        return f"PolyQ({list(self.coeffs)!r})"
+        return f"PolyQ({list(self._c)!r})"
 
     def __str__(self):
         if self.is_zero():
             return "0"
         parts = []
         for k in range(self.degree, -1, -1):
-            c = self.coeffs[k]
-            if c.is_zero():
-                continue
-            parts.append(_poly_term_str(c, k, first=not parts))
+            c = self._c[k]
+            if c:
+                parts.append(_poly_term_str(c, k, first=not parts))
         return "".join(parts)
 
 
-def _poly_term_str(c: GaussianRational, power: int, first: bool) -> str:
-    if c.im:
+def _poly_term_str(c, power: int, first: bool) -> str:
+    if type(c) is GaussianRational:
         if c.re:
             body = f"({c})"
             sign = "+"
@@ -323,8 +348,8 @@ def _poly_term_str(c: GaussianRational, power: int, first: bool) -> str:
             body = str(GaussianRational(0, abs(c.im)))
             sign = "+" if c.im > 0 else "-"
     else:
-        sign = "+" if c.re > 0 else "-"
-        body = str(abs(c.re))
+        sign = "+" if c > 0 else "-"
+        body = str(abs(c))
     if power:
         qpart = "q" if power == 1 else f"q^{power}"
         if body == "1":
@@ -357,23 +382,22 @@ class ScalarQ:
             raise DivisionByZero("scalar with zero denominator")
         if num.is_zero():
             num, den = _P_ZERO, _P_ONE
-        elif not any(den.coeffs[:-1]):
+        elif not any(den._c[:-1]):
             # den = c*q^k; gcd(num, den) = q^min(k, v), v the lowest degree in num
             k = den.degree
-            shift = min(k, _low_degree(num.coeffs))
+            shift = min(k, _low_degree(num._c))
             if shift:
-                num = PolyQ(num.coeffs[shift:])
-            lead = den.lead
-            if lead != _G_ONE:
-                num = num.scale(_G_ONE / lead)
-            den = PolyQ([_G_ZERO] * (k - shift) + [_G_ONE]) if k > shift else _P_ONE
+                num = PolyQ._canonical(num._c[shift:])
+            lead = den._c[-1]
+            if lead != 1:
+                num = num.scale(_div(1, lead))
+            den = PolyQ._canonical((0,) * (k - shift) + (1,)) if k > shift else _P_ONE
         else:
             g = num.gcd(den)
             if g.degree > 0:
                 num, den = num // g, den // g
-            lead = den.lead
-            den = den.monic()
-            num = num.scale(_G_ONE / lead)
+            inverse = _div(1, den._c[-1])
+            num, den = num.scale(inverse), den.scale(inverse)
         return ScalarQ._canonical(num, den)
 
     @staticmethod
@@ -381,7 +405,7 @@ class ScalarQ:
         """The one live scalar num/den, for an unchecked canonical pair: the
         interned object if there is one, else a new one, interned.  Every
         scalar is made here."""
-        key = (num.coeffs, den.coeffs)
+        key = (num._c, den._c)
         out = _INTERNED.get(key)
         if out is None:
             out = object.__new__(ScalarQ)
@@ -401,18 +425,16 @@ class ScalarQ:
             interned = _SMALL_INTS.get(value)
             if interned is not None:
                 return interned
-        if isinstance(value, (int, Fraction)):
-            value = GaussianRational(value)
-        if isinstance(value, GaussianRational):
+        if isinstance(value, (int, Fraction, GaussianRational)):
             return _laurent(value, 0)
         return NotImplemented
 
     def is_zero(self) -> bool:
-        return not self.num.coeffs
+        return not self.num._c
 
     def _monomial(self):
         """``(c, k)`` when this scalar is c*q^k (c nonzero), else None."""
-        num, den = self.num.coeffs, self.den.coeffs
+        num, den = self.num._c, self.den._c
         if len(den) == 1:  # canonical: a degree-0 denominator is 1
             if num and not any(num[:-1]):
                 return num[-1], len(num) - 1
@@ -420,19 +442,19 @@ class ScalarQ:
             return num[0], 1 - len(den)
         return None
 
-    def _times_monomial(self, c: GaussianRational, k: int) -> "ScalarQ":
+    def _times_monomial(self, c, k: int) -> "ScalarQ":
         """This nonzero, non-monomial N/D times c*q^k.
 
         N and D are coprime, so only a power of q can cancel: the one that
         q^k shares with D (k > 0) or that N shares with q^-k (k < 0).
         """
-        num, den = tuple(a * c for a in self.num.coeffs), self.den.coeffs
+        num, den = _normal([a * c for a in self.num._c]), self.den._c
         if k > 0:
             shift = min(k, _low_degree(den))
-            num, den = (_G_ZERO,) * (k - shift) + num, den[shift:]
+            num, den = (0,) * (k - shift) + num, den[shift:]
         elif k < 0:
             shift = min(-k, _low_degree(num))
-            num, den = num[shift:], (_G_ZERO,) * (-k - shift) + den
+            num, den = num[shift:], (0,) * (-k - shift) + den
         return ScalarQ._canonical(PolyQ._canonical(num), PolyQ._canonical(den))
 
     def __add__(self, other):
@@ -440,9 +462,9 @@ class ScalarQ:
             other = self._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        if not other.num.coeffs:
+        if not other.num._c:
             return self
-        if not self.num.coeffs:
+        if not self.num._c:
             return other
         out = _SUMS.get((self, other))
         if out is None:
@@ -488,7 +510,7 @@ class ScalarQ:
         if other.is_zero():
             raise DivisionByZero("scalar division by zero")
         # N, D coprime: D/N over lead(N) is the canonical inverse, with no gcd
-        lead = _G_ONE / other.num.lead
+        lead = _div(1, other.num._c[-1])
         return _product(self, ScalarQ._canonical(other.den.scale(lead), other.num.scale(lead)))
 
     def __rtruediv__(self, other):
@@ -519,10 +541,10 @@ class ScalarQ:
 
     def limit_at_one(self) -> GaussianRational:
         """Value at q = 1; a zero denominator here is a genuine pole."""
-        dval = self.den.evaluate(_G_ONE)
-        if dval.is_zero():
+        dval = self.den.evaluate(1)
+        if not dval:
             raise PoleAtOne(f"pole at q = 1 in {self}")
-        return self.num.evaluate(_G_ONE) / dval
+        return GaussianRational._coerce(_div(self.num.evaluate(1), dval))
 
     def __eq__(self, other):
         """Identity, after coercing an int, Fraction or GaussianRational."""
@@ -538,8 +560,9 @@ class ScalarQ:
             return self._hash
         except AttributeError:
             # a constant hashes like the number it equals
-            constant = self.den.degree == 0 and self.num.degree <= 0
-            value = hash(self.num.lead if constant else (self.num, self.den))
+            num, den = self.num._c, self.den._c
+            constant = len(den) == 1 and len(num) <= 1
+            value = hash((num[0] if num else 0) if constant else (num, den))
             object.__setattr__(self, "_hash", value)
             return value
 
@@ -556,7 +579,7 @@ class ScalarQ:
         if mono is not None:
             # c over q^k prints as a single power c*q^-k
             return _poly_term_str(*mono, first=True)
-        num_terms = sum(1 for c in self.num.coeffs if not c.is_zero())
+        num_terms = sum(1 for c in self.num._c if c)
         num_str = str(self.num) if num_terms == 1 else f"({self.num})"
         return f"{num_str}/({self.den})"
 
@@ -566,15 +589,15 @@ def _low_degree(coeffs: tuple) -> int:
     return next(j for j, c in enumerate(coeffs) if c)
 
 
-def _laurent(c: GaussianRational, k: int) -> ScalarQ:
+def _laurent(c, k: int) -> ScalarQ:
     """Canonical c*q^k: (0,)*k + (c,) over 1, or (c,) over q^-k."""
     if not c:
         return ZERO
+    if type(c) is not int:
+        c = _native(c)
     if k >= 0:
-        return ScalarQ._canonical(PolyQ._canonical((_G_ZERO,) * k + (c,)), _P_ONE)
-    return ScalarQ._canonical(
-        PolyQ._canonical((c,)), PolyQ._canonical((_G_ZERO,) * -k + (_G_ONE,))
-    )
+        return ScalarQ._canonical(PolyQ._canonical((0,) * k + (c,)), _P_ONE)
+    return ScalarQ._canonical(PolyQ._canonical((c,)), PolyQ._canonical((0,) * -k + (1,)))
 
 
 def make_room(memo: dict, cap: int) -> dict:
@@ -603,7 +626,7 @@ def _product(a: ScalarQ, b: ScalarQ) -> ScalarQ:
 
 def _multiply(a: ScalarQ, b: ScalarQ) -> ScalarQ:
     """a*b: exponent arithmetic when an operand is c*q^k, else the reduction."""
-    if not a.num.coeffs or not b.num.coeffs:
+    if not a.num._c or not b.num._c:
         return ZERO
     ma, mb = a._monomial(), b._monomial()
     if ma is not None:
@@ -625,7 +648,7 @@ def _sum(a: ScalarQ, b: ScalarQ) -> ScalarQ:
     return ScalarQ(a.num * b.den + b.num * a.den, a.den * b.den)
 
 
-# the weak intern table: (num.coeffs, den.coeffs) -> the one live scalar
+# the weak intern table: (num._c, den._c) -> the one live scalar
 _INTERNED = weakref.WeakValueDictionary()
 # small integers coerce to these constants without an intern lookup
 _SMALL_INTS = {k: ScalarQ(k) for k in range(-16, 17)}
@@ -648,4 +671,4 @@ def sc(value) -> ScalarQ:
 
 def qpow(k: int) -> ScalarQ:
     """The scalar q**k (k may be negative)."""
-    return _laurent(_G_ONE, k)
+    return _laurent(1, k)

@@ -309,6 +309,46 @@ def test_equal_scalars_are_one_object():
     assert Q * Q is qpow(2) is ScalarQ(PolyQ([0, 0, 1]))
 
 
+def test_real_results_of_nonreal_or_fractional_operands_are_native():
+    """A real coefficient is stored as an int or a Fraction, whatever made it.
+
+    Each path runs once more on multiples of ``big``, values no other test
+    keeps alive, so that the walk reads the coefficients that path stored.
+    """
+    big = 1_000_003
+    kept = []
+
+    def check(result, expected):
+        kept.append(result)
+        assert result is expected()
+
+    # monomial times monomial
+    check(I * I, lambda: sc(-1))
+    check(sc(GaussianRational(1, 1)) * sc(GaussianRational(1, -1)), lambda: sc(2))
+    check(sc(GaussianRational(big, big)) * sc(GaussianRational(1, -1)), lambda: sc(2 * big))
+    # a convolution with non-real coefficients and a real result
+    check((I * Q + 1) * (-I * Q + 1), lambda: ScalarQ(PolyQ([1, 0, 1])))
+    check((I * Q + big) * (-I * Q + big), lambda: ScalarQ(PolyQ([big * big, 0, 1])))
+    # a Fraction product that comes out integral
+    check((Q / 2) * 2, lambda: Q)
+    check((Q / 2) * (2 * big), lambda: big * Q)
+    # monic and exact division
+    check(ScalarQ(PolyQ([2, 4]), PolyQ([2])), lambda: ScalarQ(PolyQ([1, 2])))
+    check(ScalarQ(PolyQ([2 * big, 4]), PolyQ([2])), lambda: ScalarQ(PolyQ([big, 2])))
+    kept.append(ONE / (2 * Q - 2))
+    assert kept[-1].num == PolyQ.constant(Fraction(1, 2))
+    kept.append(ONE / (3 * Q - 3))  # 1/3 has no exact float
+    assert kept[-1].num == PolyQ.constant(Fraction(1, 3))
+    for s in list(scalar._INTERNED.values()):
+        for c in s.num._c + s.den._c:
+            assert type(c) is not float
+            assert (
+                type(c) is int
+                or (type(c) is Fraction and c.denominator != 1)
+                or (type(c) is GaussianRational and c.im)
+            ), (s, c)
+
+
 def test_intern_table_holds_only_live_scalars():
     gc.collect()
     before = len(scalar._INTERNED)
