@@ -372,6 +372,7 @@ class Presentation:
             rules[lhs] = rhs
         self._rules = rules
         self._nf_cache = {}
+        self._blocks = {}  # letter -> block rank, once the rules are final
         # product table: (normal word v, letter g) -> the normal form of v*g
         # as (word, coefficient) pairs, for each reducible pair (v[-1], g)
         # rewritten (see normal_form)
@@ -392,6 +393,7 @@ class Presentation:
         self._central = self._central_letters()
         for lhs, rhs in rules.items():
             self._check_rule_invariants(lhs, rhs)
+        self._blocks = self._block_ranks()
 
     # -- construction checks -------------------------------------------------
 
@@ -459,6 +461,28 @@ class Presentation:
             for g in lhs
         }
         return frozenset(g.name for g in self.generators if g.parity and g.name not in rewritten)
+
+    def _block_ranks(self) -> dict:
+        """Each letter's rank for the block path of ``normal_form``: 0 for a
+        central letter, then 1, 2, ... for the blocks in generator order;
+        empty when there are fewer than two blocks.  A block is a class of
+        non-central letters that the rules link: a rule links the letters of
+        its left side with those of every word on its right side.
+        """
+        central = self._central
+        blocks = [{g.name} for g in self.generators if g.name not in central]
+        for lhs, rhs in self._rules.items():
+            linked = {g for w in (lhs, *rhs.words()) for g in w} - central
+            if linked:
+                joined = [b for b in blocks if b & linked]
+                blocks = [b for b in blocks if not b & linked] + [set().union(*joined)]
+        if len(blocks) < 2:
+            return {}
+        blocks.sort(key=lambda b: min(self._by_name[g].order_index for g in b))
+        ranks = dict.fromkeys(central, 0)
+        for rank, block in enumerate(blocks, 1):
+            ranks.update(dict.fromkeys(block, rank))
+        return ranks
 
     def _measure(self, word: Word):
         """Termination order, smaller first: more central letters, then fewer
@@ -560,6 +584,14 @@ class Presentation:
         table nor the cache; on a confluent presentation both give the same
         result.
 
+        With two or more blocks (``_block_ranks``), a word with a letter of
+        a lower block after one of a higher block is sorted stably by block,
+        central letters first and with the Koszul sign of the shuffle; each
+        block's part is folded alone, into products other words share, and
+        the parts' normal forms are multiplied in block order.  No rule
+        joins two blocks, so the sorted word equals the input, and on a
+        confluent presentation the result is the leftmost normal form.
+
         The budget, ``DEFAULT_MAX_STEPS`` = 5,000,000 work units unless
         ``max_steps`` is given, bounds the work of one call.  A leftmost work
         unit is one letter of each ``v*g`` rewritten in the call; a
@@ -593,33 +625,78 @@ class Presentation:
             result = self._nf_cache.get(start_word)
             if result is None:
                 self._check_letters(start_word)
-                result, spent = self._fold_letters(start_word, spent, budget)
+                result, spent = self._fold_word(start_word, spent, budget)
                 make_room(self._nf_cache, WORD_MEMO_CAP)[start_word] = result
             for w, c in result.items():
                 _accumulate(out, w, c if start_coeff is ONE else c * start_coeff)
         return out
 
-    def _fold_letters(self, start: Word, spent: int, budget: int):
-        """Leftmost normal-form terms of ``start`` and the work units spent.
+    def _fold_word(self, start: Word, spent: int, budget: int):
+        """Leftmost normal-form terms of ``start`` and the work units spent:
+        folded whole unless a letter of a lower block follows one of a
+        higher block, else by the block path of ``normal_form``, where two
+        terms are folded together only if their junction is reducible."""
+        ranks, pairs = self._blocks, self._pairs
+        order = [ranks[g] for g in start if ranks[g]] if ranks else None
+        if not order or order == sorted(order):
+            return self._fold_letters(start, start, spent, budget)
+        odd = [ranks[g] for g in start if self._by_name[g].parity]
+        swaps = sum(a > b for i, a in enumerate(odd) for b in odd[i + 1:])
+        parts = [[g for g in start if ranks[g] == r] for r in range(max(order) + 1)]
+        parts[1][:0] = parts[0]
+        terms = {(): _MINUS_ONE if swaps & 1 else ONE}
+        for part in parts[1:]:
+            if not part or not terms:
+                continue
+            part_terms, spent = self._fold_letters(tuple(part), start, spent, budget)
+            out = {}
+            for w2, c2 in part_terms.items():
+                moving = {}
+                for w1, c1 in terms.items():
+                    c = c2 if c1 is ONE else c1 * c2
+                    if w1 and w2 and (w1[-1], w2[0]) in pairs:
+                        moving[w1] = c
+                    else:
+                        _accumulate(out, w1 + w2, c)
+                if moving:
+                    moved, spent = self._fold_terms(moving, w2, start, spent, budget)
+                    for w, c in moved.items():
+                        _accumulate(out, w, c)
+            terms = out
+        return terms, spent
 
-        The longest prefix of ``start`` with no reducible pair is normal, so
-        the fold starts from it.  Drives ``_insert`` and ``_product`` from an
-        explicit stack, so no nesting of rewrites deepens the Python stack:
-        each generator yields the pair (v, g) it needs; the driver pushes its
-        rewriting and, when it finishes, stores the terms as a tuple and
-        sends them back.  A one-term rewrite is followed as a chain while the
-        first letter left to insert forms, with the last letter of the word
-        it goes into, another one-term pair that the table does not hold:
-        each step is charged, and the letters left are pushed as one
-        ``_insert``.  Only the pair that started the chain is stored.  The
-        pairs being rewritten wait in ``pending``, in the order they started,
-        and enter the product table only when they finish: a pair met again
-        while pending, at the head of a chain or inside one, is a cycle.
+    def _fold_letters(self, word: Word, start: Word, spent: int, budget: int):
+        """The normal-form terms of ``word`` and the work units spent, for
+        the call whose input word is ``start``: the longest prefix of
+        ``word`` with no reducible pair is normal, so the fold starts from
+        it, and a word with no reducible pair is returned as it is."""
+        k = self._first_reducible(word)
+        if k is None:
+            return {word: ONE}, spent
+        return self._fold_terms({word[:k + 1]: ONE}, word[k + 1:], start, spent, budget)
+
+    def _fold_terms(self, terms: dict, letters: Word, start: Word, spent: int, budget: int):
+        """The normal-form terms of sum(c * v * letters) over the (v, c) of
+        ``terms``, whose words are normal, and the work units spent, for the
+        call whose input word is ``start``: the driver of every fold, so one
+        budget covers all the folds of a call and every error names its
+        input word.
+
+        Drives ``_insert`` and ``_product`` from an explicit stack, so no
+        nesting of rewrites deepens the Python stack: each generator yields
+        the pair (v, g) it needs; the driver pushes its rewriting and, when
+        it finishes, stores the terms as a tuple and sends them back.  A
+        one-term rewrite is followed as a chain while the first letter left
+        to insert forms, with the last letter of the word it goes into,
+        another one-term pair that the table does not hold: each step is
+        charged, and the letters left are pushed as one ``_insert``.  Only
+        the pair that started the chain is stored.  The pairs being
+        rewritten wait in ``pending``, in the order they started, and enter
+        the product table only when they finish: a pair met again while
+        pending, at the head of a chain or inside one, is a cycle.
         """
         products, pairs = self._products, self._pairs
-        k = self._first_reducible(start)
-        k = len(start) if k is None else k + 1
-        stack = [self._insert({start[:k]: ONE}, start[k:])]
+        stack = [self._insert(terms, letters)]
         pending = {}
         value = None
         while True:

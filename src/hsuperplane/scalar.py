@@ -61,8 +61,11 @@ _RationalLike = Union[int, Fraction]
 
 
 def _rational(x: _RationalLike) -> _RationalLike:
-    """A non-``int`` ``x`` as an ``int`` when it is integral, else as a ``Fraction``."""
+    """A non-``int`` ``x`` as an ``int`` when it is integral, else as a
+    ``Fraction``; a float has no exact value here, so it is refused."""
     if type(x) is not Fraction:
+        if isinstance(x, float):
+            raise TypeError(f"a coefficient must be exact, not the float {x!r}")
         x = Fraction(x)
     return x.numerator if x.denominator == 1 else x
 

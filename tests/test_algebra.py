@@ -24,6 +24,7 @@ from hsuperplane.algebra import (
 )
 from hsuperplane.presentations import (
     CATALOGUE_NAMES,
+    build_coaction_product,
     build_q_superplane,
     get_presentation,
     set_h_to_zero,
@@ -479,6 +480,67 @@ def test_central_letter_is_found_from_the_rules_not_the_name():
     # once a rule rewrites e, a longer right side is no longer smaller
     with pytest.raises(RuleError):
         Presentation("e-plane", generators, rules + [(("th", "e"), -word("e", "th"))])
+
+
+# -- blocks ------------------------------------------------------------------------
+
+GROUP = {"a", "ai", "bt", "gm", "dd", "ddi"}
+CALCULUS = {"dth", "dx", "th", "x", "px", "pth"}
+BLOCKS = {
+    "q-superplane": [{"dth", "dx"}, {"th", "x"}],
+    "coaction-product": [GROUP, CALCULUS],
+}
+
+
+def test_blocks_are_the_letter_classes_the_rules_link():
+    for name in CATALOGUE_NAMES:
+        ranks = get_presentation(name)._blocks
+        if name not in BLOCKS:
+            assert ranks == {}, name
+            continue
+        assert {g for g, rank in ranks.items() if rank == 0} == {"h"}
+        found = [{g for g, rank in ranks.items() if rank == k} for k in (1, 2)]
+        assert found == BLOCKS[name] and max(ranks.values()) == 2
+
+
+@pytest.mark.parametrize(
+    "build, inputs",
+    [
+        (build_q_superplane, [("x", "dx", "th", "dth"), ("th", "dth", "h", "x", "dx")]),
+        (
+            build_coaction_product,
+            [
+                ("x", "a", "th", "dd", "dth", "gm"),
+                ("pth", "ai", "x", "ddi", "dx", "bt", "th"),
+                ("th", "h", "dd", "x", "gm", "px", "a"),
+                ("dx", "bt", "x", "gm", "th", "a", "h"),
+            ],
+        ),
+    ],
+)
+def test_interleaved_words_fill_the_product_table_block_by_block(build, inputs):
+    # an interleaved word is sorted into its blocks, so no stored product
+    # (v, g) carries a letter g of one block into a word v holding another
+    p = build()
+    blocks = BLOCKS[p.name]
+    for w in inputs:
+        e = Element.word(w)
+        assert p.normal_form(e) == p.normal_form(e, strategy="rightmost")
+    assert p._products
+    for v, g in p._products:
+        letters = {x for x in v + (g,) if x != "h"}
+        assert any(letters <= block for block in blocks), (v, g)
+
+
+def test_budget_overrun_inside_a_block_names_the_input_word():
+    # the group part a*dd is normal; the calculus part x*x*th is folded
+    # alone, and th's chain past both x's spends 3 + 2 units
+    p = build_coaction_product()
+    with pytest.raises(
+        NonTerminatingError,
+        match=r"start word a\*x\*dd\*x\*th, current word of length 2, 5 work units spent$",
+    ):
+        p.normal_form(word("a", "x", "dd", "x", "th"), max_steps=4)
 
 
 # -- parity bookkeeping ------------------------------------------------------------

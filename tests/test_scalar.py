@@ -349,6 +349,21 @@ def test_real_results_of_nonreal_or_fractional_operands_are_native():
             ), (s, c)
 
 
+def test_float_coefficients_are_refused():
+    # the float 0.1 is not 1/10: taking its exact value would silently store
+    # 3602879701896397/36028797018963968; sc(0.1) already raises
+    for make in (
+        lambda: PolyQ([0.1]),
+        lambda: PolyQ([1, 0.5]),
+        lambda: PolyQ([0.0]),
+        lambda: GaussianRational(0.5),
+        lambda: GaussianRational(1, 0.5),
+        lambda: sc(0.1),
+    ):
+        with pytest.raises(TypeError):
+            make()
+
+
 def test_intern_table_holds_only_live_scalars():
     gc.collect()
     before = len(scalar._INTERNED)
