@@ -373,9 +373,10 @@ class Presentation:
         self._rules = rules
         self._nf_cache = {}
         self._blocks = {}  # letter -> block rank, once the rules are final
-        # product table: (normal word v, letter g) -> the normal form of v*g
-        # as (word, coefficient) pairs, for each reducible pair (v[-1], g)
-        # rewritten (see normal_form)
+        self._stops = {}  # letter -> its stops, once the rules are final
+        # product table: (normal word s, letter g) -> the normal form of s*g
+        # as (word, coefficient) pairs, for each reducible pair (s[-1], g)
+        # rewritten with no stop for g in s[:-1] (see normal_form)
         self._products = {}
         # linear-extension memos: word -> normal form of its exterior
         # derivative (filled by differential.exterior_d), and operator ->
@@ -394,6 +395,7 @@ class Presentation:
         for lhs, rhs in rules.items():
             self._check_rule_invariants(lhs, rhs)
         self._blocks = self._block_ranks()
+        self._stops = self._stop_sets()
 
     # -- construction checks -------------------------------------------------
 
@@ -483,6 +485,38 @@ class Presentation:
         for rank, block in enumerate(blocks, 1):
             ranks.update(dict.fromkeys(block, rank))
         return ranks
+
+    def _stop_sets(self) -> dict:
+        """Each letter g's stops (see ``normal_form``): the central letter,
+        and each letter that forms no reducible pair with a non-central one
+        a fold of v*g inserts: g and, for each non-central y inserted, the
+        letters of the rewrite terms of every pair (x, y).  Empty unless the
+        central letter, if any, comes first in generator order and every
+        rewrite term without it has at most two letters."""
+        central = self._central
+        if central and central != {self.generators[0].name}:
+            return {}
+        inserted, blocked = {}, {}  # y -> y and the letters (x, y) rewrites to; -> the x
+        for (x, y), terms in self._pairs.items():
+            if y not in central:
+                letters = inserted.setdefault(y, {y})
+                for w, _ in terms:
+                    if len(w) > 2 and central.isdisjoint(w):
+                        return {}
+                    letters.update(w)
+                blocked.setdefault(y, set()).add(x)
+        grown = True
+        while grown:  # each set takes in the sets of its letters
+            grown = False
+            for letters in inserted.values():
+                n = len(letters)
+                letters.update(*[inserted[y] for y in letters if y in inserted])
+                grown |= len(letters) > n
+        every = central.union(self._by_name)
+        stops = dict.fromkeys(central, every)
+        for g, letters in inserted.items():
+            stops[g] = every.difference(*[blocked.get(y, ()) for y in letters])
+        return stops
 
     def _measure(self, word: Word):
         """Termination order, smaller first: more central letters, then fewer
@@ -576,7 +610,12 @@ class Presentation:
         chain.  The normal-form terms of each ``v*g`` that starts a chain, or
         whose rewrite has another number of terms, are kept in the
         presentation's product table, and those of input words in its
-        cache.  ``scalar.make_room`` bounds them by
+        cache.  The table keys ``v*g`` by the part ``s`` of ``v = head*s``
+        after its last stop for ``g`` before its last letter (``_stop_sets``):
+        rewriting never reaches a stop but to move a central letter past it
+        by Koszul swaps, which commute with every rule, so ``head`` times the
+        normal form of ``s*g`` (``_behind``) is exact, rewrite for rewrite.
+        ``scalar.make_room`` bounds the table and the cache by
         ``PRODUCT_TABLE_CAP`` and ``WORD_MEMO_CAP``; the table makes room only
         as a call starts, so every product a call finishes stays there for
         the rest of the call.  ``strategy="rightmost"`` rewrites the last
@@ -594,10 +633,10 @@ class Presentation:
 
         The budget, ``DEFAULT_MAX_STEPS`` = 5,000,000 work units unless
         ``max_steps`` is given, bounds the work of one call.  A leftmost work
-        unit is one letter of each ``v*g`` rewritten in the call; a
+        unit is one letter of each ``s*g`` rewritten in the call; a
         rightmost one is one letter of each word rewritten.  A runaway rule
         set that grows its words is cut off early, and one whose rewriting
-        of ``v*g`` comes back to ``v*g`` is stopped at once.  The table only
+        of ``s*g`` comes back to ``s*g`` is stopped at once.  The table only
         ever holds finished products, so a call that raises keeps those it
         finished and no others.
         """
@@ -740,27 +779,55 @@ class Presentation:
         """Generator: the normal-form terms of sum(c * v * letters) over the
         (v, c) of ``terms``, whose words are normal.
 
-        Yields each reducible (v, g) that the product table does not hold
-        and receives the (word, coefficient) pairs of its normal form; the
-        table holds only finished products, so a hit is final.  Taking a
+        A reducible (v, g) splits v after its last stop for g in v[:-1]
+        into head*s, or takes head empty when there is none.  Yields each
+        such (s, g) that the product table does not hold and receives the
+        (word, coefficient) pairs of the normal form of s*g, which
+        ``_behind`` puts behind head; the table holds only finished
+        products, so a hit is final.  Taking a
         dict rather than a start word keeps no reference to that word once
         its first letter is in, so a chain of pending pairs holds one word
         per pair.
         """
-        pairs, products = self._pairs, self._products
+        pairs, products, stops = self._pairs, self._products, self._stops
         for g in letters:
             out = {}
+            cut = stops.get(g)
             for v, c in terms.items():
                 if v and (v[-1], g) in pairs:
+                    head = ()
+                    if cut:
+                        for i in range(len(v) - 2, -1, -1):
+                            if v[i] in cut:
+                                head, v = v[:i + 1], v[i + 1:]
+                                break
                     vg = products.get((v, g))
                     if vg is None:
                         vg = yield v, g
+                    if head:
+                        vg = self._behind(head, vg)
                     for w, c2 in vg:
                         _accumulate(out, w, c2 if c is ONE else c * c2)
                 else:
                     _accumulate(out, v + (g,), c)
             terms = out
         return terms
+
+    def _behind(self, head: Word, terms) -> list:
+        """The (word, coefficient) pairs of head*w over the normal (w, c) of
+        ``terms``, where only a leading central letter of w can pass a letter
+        of head: it moves to the front with the Koszul sign of head, or the
+        term is dropped if head starts with it; others are concatenated."""
+        out = []
+        for w, c in terms:
+            if w and w[0] in self._central:
+                if head[0] == w[0]:
+                    continue
+                w, c = w[:1] + head + w[1:], -c if self.word_parity(head) else c
+            else:
+                w = head + w
+            out.append((w, c))
+        return out
 
     def _product(self, v: Word, g: str):
         """Generator: the normal form of ``v*g`` as a dict of its terms, for

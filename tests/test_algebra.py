@@ -25,6 +25,8 @@ from hsuperplane.algebra import (
 from hsuperplane.presentations import (
     CATALOGUE_NAMES,
     build_coaction_product,
+    build_gl_h11,
+    build_h_calculus,
     build_q_superplane,
     get_presentation,
     set_h_to_zero,
@@ -541,6 +543,93 @@ def test_budget_overrun_inside_a_block_names_the_input_word():
         match=r"start word a\*x\*dd\*x\*th, current word of length 2, 5 work units spent$",
     ):
         p.normal_form(word("a", "x", "dd", "x", "th"), max_steps=4)
+
+
+# -- stops -------------------------------------------------------------------------
+
+# each letter's stops, the central letter h aside: no letter that a fold of
+# v*g can insert forms a reducible pair with a stop of g
+CALCULUS_STOPS = {
+    "dth": {"dth"},
+    "dx": {"dth"},
+    "th": {"dth", "dx"},
+    "x": {"dth", "dx"},
+    "px": {"dth", "dx", "th", "x", "px"},
+    "pth": {"dth", "dx", "th", "x", "px"},
+}
+H_CALCULUS_STOPS = {**CALCULUS_STOPS, "x": {"dth", "dx", "th", "x"}}
+GROUP_STOPS = {"a": {"a"}, "bt": {"a"}, "gm": {"a"}}
+STOPS = {
+    "q-superplane": {"dth": {"dth"}, "dx": {"dth"}, "th": {"dth", "dx"}},
+    "qh-calculus": CALCULUS_STOPS,
+    "q-calculus": CALCULUS_STOPS,
+    "h-calculus": H_CALCULUS_STOPS,
+    "gl-h11": GROUP_STOPS,
+    "h-heisenberg": {"th": set(), "x": {"th", "x"}, "px": {"th", "x", "px"}, "pth": {"th", "x", "px"}},
+    "q-oscillator": {"ad": {"ad"}, "bd": {"ad"}, "b": {"ad", "bd"}},
+    "coaction-product": {
+        **GROUP_STOPS,
+        "ai": set(),
+        "dd": GROUP - {"ddi"},
+        "ddi": GROUP - {"dd"},
+        **{g: stops | GROUP for g, stops in H_CALCULUS_STOPS.items()},
+    },
+}
+
+
+def test_stops_are_the_letters_no_inserted_letter_rewrites():
+    for name in CATALOGUE_NAMES:
+        p = get_presentation(name)
+        central = {"h"} if name != "q-oscillator" else set()
+        assert p._central == central, name
+        found = {g: stops - central for g, stops in p._stops.items() if g not in central}
+        assert found == STOPS[name], name
+        # the central letter stops every letter, and every letter stops it
+        for g, stops in p._stops.items():
+            assert stops >= (set(p.generator_names()) if g in central else central), (name, g)
+
+
+def test_rule_sets_outside_the_gate_get_no_stops():
+    # a rewrite term of four letters, none of them central
+    runaway = Presentation("runaway", [("u", 0), ("v", 0)], [(("v", "u"), word("u", "u", "v", "v"))])
+    assert runaway._stops == {}
+    # the looping rule set fails construction, so its rules are planted in
+    # the compiled pair table
+    loop = Presentation("loop", [("a", 0), ("b", 0)])
+    loop._pairs[("b", "a")] = ((("a", "a", "b", "b"), ONE),)
+    loop._pairs[("b", "b")] = ((("b", "a"), ONE),)
+    assert loop._stop_sets() == {}
+    # a central letter that does not come first in generator order
+    assert Presentation("late", [("x", 0), ("e", 1)])._stops == {}
+
+
+@pytest.mark.parametrize(
+    "build, inputs",
+    [
+        (
+            build_h_calculus,
+            [("dth", "x", "th", "x", "th"), ("x", "dx", "th", "px", "x"), ("th", "dth", "px", "x", "pth", "th")],
+        ),
+        (
+            build_gl_h11,
+            [("a", "gm", "dd", "a"), ("bt", "a", "gm", "dd", "gm", "a"), ("a", "bt", "dd", "gm", "bt")],
+        ),
+        (
+            build_coaction_product,
+            [("x", "a", "th", "dd", "dth", "gm"), ("dd", "x", "ai", "th", "a", "dx"), ("gm", "pth", "a", "x", "dth", "th")],
+        ),
+    ],
+)
+def test_product_keys_hold_no_stop_before_their_last_letter(build, inputs):
+    # a product v*g is stored under the suffix s of v after v's last stop for
+    # g, so words that differ only up to that stop share the entry (s, g)
+    p = build()
+    for w in inputs:
+        e = Element.word(w)
+        assert p.normal_form(e) == p.normal_form(e, strategy="rightmost")
+    assert p._products
+    for s, g in p._products:
+        assert not set(s[:-1]) & p._stops[g], (s, g)
 
 
 # -- parity bookkeeping ------------------------------------------------------------

@@ -12,7 +12,8 @@ forms of a freshly built one.  A non-confluent presentation pins down the
 leftmost semantics, where strategies disagree.  A planted presentation
 whose one-term rules carry non-unit coefficients checks the single-term
 rewrites.  ``multiply`` must equal the normal form of the free product and
-normalise exactly its words.
+normalise exactly its words.  Emptying a presentation's stops, so that each
+product is keyed by its whole word, must change no normal form or product.
 """
 
 import pytest
@@ -154,12 +155,16 @@ def test_rightmost_reads_neither_the_cache_nor_the_product_table():
         assert p.normal_form(e, strategy="rightmost") == nf
 
 
-def test_non_confluent_presentation_keeps_leftmost_semantics():
-    p = Presentation(
+def non_confluent() -> Presentation:
+    return Presentation(
         "nc",
         [("u", 0), ("v", 0)],
         [(("v", "u"), 2 * word("u", "v")), (("v", "v"), word("u"))],
     )
+
+
+def test_non_confluent_presentation_keeps_leftmost_semantics():
+    p = non_confluent()
     assert not p.check_confluence().passed
     vvu = word("v", "v", "u")
     assert p.normal_form(vvu) == word("u", "u")
@@ -235,5 +240,36 @@ def test_multiply_normalises_the_words_of_the_product(name):
         normalised = set(p._nf_cache)
         assert via_multiply == p.normal_form(product)
         assert normalised == set(product.words())
+
+    check()
+
+
+# A presentation whose stops are emptied keys every product v*g by the whole
+# word v, as the engine did before stops; every normal form and product must
+# be the same, in a presentation whose table earlier examples filled.
+STOPLESS = settings(ORACLE, max_examples=40)
+
+
+@pytest.mark.parametrize("name", [*CATALOGUE_NAMES, "planted", "nc"])
+def test_stops_change_no_normal_form(name):
+    build = {"planted": planted, "nc": non_confluent}.get(name) or (
+        lambda: rebuilt(get_presentation(name))
+    )
+    p, stopless = build(), build()
+    stopless._stops = {}
+    # the planted presentation's central letter t comes last, so it has none
+    assert bool(p._stops) is (name != "planted")
+    words = st.lists(
+        st.sampled_from(p.generator_names()), max_size=MAX_LENGTH.get(name, DEFAULT_MAX_LENGTH)
+    ).map(tuple)
+    elements = st.lists(st.tuples(words, st.sampled_from(SCALARS)), min_size=1, max_size=3).map(
+        lambda pairs: sum((Element.word(w, c) for w, c in pairs), Element.zero())
+    )
+
+    @STOPLESS
+    @given(elements, elements)
+    def check(a, b):
+        assert p.normal_form(a) == stopless.normal_form(a)
+        assert p.multiply(a, b) == stopless.multiply(a, b)
 
     check()
