@@ -465,7 +465,7 @@ class Presentation:
         return frozenset(g.name for g in self.generators if g.parity and g.name not in rewritten)
 
     def _block_ranks(self) -> dict:
-        """Each letter's rank for the block path of ``normal_form``: 0 for a
+        """Each letter's rank for the block sort of ``normal_form``: 0 for a
         central letter, then 1, 2, ... for the blocks in generator order;
         empty when there are fewer than two blocks.  A block is a class of
         non-central letters that the rules link: a rule links the letters of
@@ -623,13 +623,12 @@ class Presentation:
         table nor the cache; on a confluent presentation both give the same
         result.
 
-        With two or more blocks (``_block_ranks``), a word with a letter of
-        a lower block after one of a higher block is sorted stably by block,
-        central letters first and with the Koszul sign of the shuffle; each
-        block's part is folded alone, into products other words share, and
-        the parts' normal forms are multiplied in block order.  No rule
-        joins two blocks, so the sorted word equals the input, and on a
-        confluent presentation the result is the leftmost normal form.
+        With two or more blocks (``_block_ranks``), each input word is first
+        sorted stably by block, central letters first, and carries the
+        Koszul sign of the shuffle, and the sorted word is folded whole.  No
+        rule joins two blocks, so the sorted word times its sign equals the
+        input, and on a confluent presentation the result is the leftmost
+        normal form.
 
         The budget, ``DEFAULT_MAX_STEPS`` = 5,000,000 work units unless
         ``max_steps`` is given, bounds the work of one call.  A leftmost work
@@ -671,71 +670,39 @@ class Presentation:
         return out
 
     def _fold_word(self, start: Word, spent: int, budget: int):
-        """Leftmost normal-form terms of ``start`` and the work units spent:
-        folded whole unless a letter of a lower block follows one of a
-        higher block, else by the block path of ``normal_form``, where two
-        terms are folded together only if their junction is reducible."""
-        ranks, pairs = self._blocks, self._pairs
-        order = [ranks[g] for g in start if ranks[g]] if ranks else None
-        if not order or order == sorted(order):
-            return self._fold_letters(start, start, spent, budget)
-        odd = [ranks[g] for g in start if self._by_name[g].parity]
-        swaps = sum(a > b for i, a in enumerate(odd) for b in odd[i + 1:])
-        parts = [[g for g in start if ranks[g] == r] for r in range(max(order) + 1)]
-        parts[1][:0] = parts[0]
-        terms = {(): _MINUS_ONE if swaps & 1 else ONE}
-        for part in parts[1:]:
-            if not part or not terms:
-                continue
-            part_terms, spent = self._fold_letters(tuple(part), start, spent, budget)
-            out = {}
-            for w2, c2 in part_terms.items():
-                moving = {}
-                for w1, c1 in terms.items():
-                    c = c2 if c1 is ONE else c1 * c2
-                    if w1 and w2 and (w1[-1], w2[0]) in pairs:
-                        moving[w1] = c
-                    else:
-                        _accumulate(out, w1 + w2, c)
-                if moving:
-                    moved, spent = self._fold_terms(moving, w2, start, spent, budget)
-                    for w, c in moved.items():
-                        _accumulate(out, w, c)
-            terms = out
-        return terms, spent
+        """Leftmost normal-form terms of ``start`` and the work units spent.
 
-    def _fold_letters(self, word: Word, start: Word, spent: int, budget: int):
-        """The normal-form terms of ``word`` and the work units spent, for
-        the call whose input word is ``start``: the longest prefix of
-        ``word`` with no reducible pair is normal, so the fold starts from
-        it, and a word with no reducible pair is returned as it is."""
-        k = self._first_reducible(word)
-        if k is None:
-            return {word: ONE}, spent
-        return self._fold_terms({word[:k + 1]: ONE}, word[k + 1:], start, spent, budget)
+        With blocks, ``start`` is first sorted by block, with the Koszul
+        sign of the shuffle (see ``normal_form``).  The longest prefix with
+        no reducible pair is normal, so the fold starts from it, carrying
+        the sign, and a word with no reducible pair is returned as it is.
 
-    def _fold_terms(self, terms: dict, letters: Word, start: Word, spent: int, budget: int):
-        """The normal-form terms of sum(c * v * letters) over the (v, c) of
-        ``terms``, whose words are normal, and the work units spent, for the
-        call whose input word is ``start``: the driver of every fold, so one
-        budget covers all the folds of a call and every error names its
-        input word.
-
-        Drives ``_insert`` and ``_product`` from an explicit stack, so no
-        nesting of rewrites deepens the Python stack: each generator yields
-        the pair (v, g) it needs; the driver pushes its rewriting and, when
-        it finishes, stores the terms as a tuple and sends them back.  A
-        one-term rewrite is followed as a chain while the first letter left
-        to insert forms, with the last letter of the word it goes into,
+        The fold drives ``_insert`` and ``_product`` from an explicit stack,
+        so no nesting of rewrites deepens the Python stack: each generator
+        yields the pair (v, g) it needs; the driver pushes its rewriting and,
+        when it finishes, stores the terms as a tuple and sends them back.
+        A one-term rewrite is followed as a chain while the first letter
+        left to insert forms, with the last letter of the word it goes into,
         another one-term pair that the table does not hold: each step is
         charged, and the letters left are pushed as one ``_insert``.  Only
         the pair that started the chain is stored.  The pairs being
         rewritten wait in ``pending``, in the order they started, and enter
         the product table only when they finish: a pair met again while
-        pending, at the head of a chain or inside one, is a cycle.
+        pending, at the head of a chain or inside one, is a cycle.  Every
+        error names ``start``.
         """
+        w, sign = start, ONE
+        ranks = self._blocks
+        if ranks:
+            w = tuple(sorted(start, key=ranks.__getitem__))
+            if w != start:
+                odd = [ranks[g] for g in start if self._by_name[g].parity]
+                sign = _MINUS_ONE if _inversions(odd) & 1 else ONE
+        k = self._first_reducible(w)
+        if k is None:
+            return {w: sign}, spent
         products, pairs = self._products, self._pairs
-        stack = [self._insert(terms, letters)]
+        stack = [self._insert({w[:k + 1]: sign}, w[k + 1:])]
         pending = {}
         value = None
         while True:

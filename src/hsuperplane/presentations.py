@@ -581,14 +581,19 @@ def contract(p_q: Presentation, *, name: Optional[str] = None) -> Presentation:
     change of generators), then takes the q -> 1 limit coefficient-wise.
     PoleAtOne propagates if any coefficient fails to converge.
     """
-    sigma = transport_morphism(p_q)
-    for lhs, rhs in p_q.rules.items():
-        residual = sigma(Element.word(lhs)) - sigma(rhs)
+    for rule, residual in _transport_residuals(p_q, transport_morphism(p_q)):
         if not residual.is_zero():
             raise AlgebraError(
-                f"rule {lhs} is not transported correctly: residual {residual!r}"
+                f"rule {rule.lhs} is not transported correctly: residual {residual!r}"
             )
     return limit_presentation(p_q, name or "h-calculus")
+
+
+def _transport_residuals(p_q: Presentation, sigma: AlgebraMorphism):
+    """Each rule of ``p_q`` in ``rule_list`` order, with its transport
+    residual sigma(lhs) - sigma(rhs): zero iff sigma carries the rule over."""
+    for rule in p_q.rule_list():
+        yield rule, sigma(Element.word(rule.lhs)) - sigma(rule.rhs)
 
 
 # -- verification suites -------------------------------------------------------
@@ -871,8 +876,7 @@ def contraction_report() -> VerificationReport:
     p_q = get_presentation("qh-calculus")
     sigma, contracted = _contraction_maps(p_q)
     report = VerificationReport("contraction", p_q.name)
-    for rule in p_q.rule_list():
-        residual = sigma(Element.word(rule.lhs, ONE)) - sigma(rule.rhs)
+    for rule, residual in _transport_residuals(p_q, sigma):
         report.add(
             f"rule {'*'.join(rule.lhs)} transports to the h = 0 plane",
             sigma.target.show(residual),

@@ -13,7 +13,9 @@ leftmost semantics, where strategies disagree.  A planted presentation
 whose one-term rules carry non-unit coefficients checks the single-term
 rewrites.  ``multiply`` must equal the normal form of the free product and
 normalise exactly its words.  Emptying a presentation's stops, so that each
-product is keyed by its whole word, must change no normal form or product.
+product is keyed by its whole word, must change no normal form or product;
+so must emptying its blocks, so that an interleaved word is folded as it
+stands rather than as its block-sorted word.
 """
 
 import pytest
@@ -271,5 +273,34 @@ def test_stops_change_no_normal_form(name):
     def check(a, b):
         assert p.normal_form(a) == stopless.normal_form(a)
         assert p.multiply(a, b) == stopless.multiply(a, b)
+
+    check()
+
+
+# A presentation whose blocks are emptied folds each word as it stands, with
+# no sort and no shuffle sign; every normal form and product must be the same,
+# in a presentation whose table earlier examples filled.
+BLOCKLESS = settings(ORACLE, max_examples=40)
+
+
+@pytest.mark.parametrize("name", ["q-superplane", "coaction-product", "planted"])
+def test_block_sort_changes_no_normal_form(name):
+    build = {"planted": planted}.get(name) or (lambda: rebuilt(get_presentation(name)))
+    p, blockless = build(), build()
+    blockless._blocks = {}
+    # planted's blocks are {x, y, z, w} and {s}; its central letter t comes last
+    assert max(p._blocks.values()) == 2
+    words = st.lists(
+        st.sampled_from(p.generator_names()), max_size=DEFAULT_MAX_LENGTH
+    ).map(tuple)
+    elements = st.lists(st.tuples(words, st.sampled_from(SCALARS)), min_size=1, max_size=3).map(
+        lambda pairs: sum((Element.word(w, c) for w, c in pairs), Element.zero())
+    )
+
+    @BLOCKLESS
+    @given(elements, elements)
+    def check(a, b):
+        assert p.normal_form(a) == blockless.normal_form(a)
+        assert p.multiply(a, b) == blockless.multiply(a, b)
 
     check()
