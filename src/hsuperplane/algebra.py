@@ -356,6 +356,7 @@ class Presentation:
             gens.append(Generator(gname, parity, position))
         self.generators = tuple(gens)
         self._by_name = {g.name: g for g in self.generators}
+        self._parities = {g.name: g.parity for g in self.generators}
         if len(self._by_name) != len(self.generators):
             raise UnknownGeneratorError("duplicate generator name")
         self.derivatives = frozenset(derivatives)
@@ -372,6 +373,7 @@ class Presentation:
             rules[lhs] = rhs
         self._rules = rules
         self._nf_cache = {}
+        self._central = frozenset()  # the central letters, once the rules are final
         self._blocks = {}  # letter -> block rank, once the rules are final
         self._stops = {}  # letter -> its stops, once the rules are final
         # product table: (normal word s, letter g) -> the normal form of s*g
@@ -544,7 +546,11 @@ class Presentation:
         return tuple(g.name for g in self.generators)
 
     def word_parity(self, word: Word) -> int:
-        return sum(self.generator(g).parity for g in word) & 1
+        try:
+            return sum(map(self._parities.__getitem__, word)) & 1
+        except KeyError:
+            self._check_letters(word)
+            raise
 
     def parity(self, element: Element) -> Optional[int]:
         """Parity of a homogeneous element, None if mixed or zero."""
@@ -614,7 +620,7 @@ class Presentation:
         after its last stop for ``g`` before its last letter (``_stop_sets``):
         rewriting never reaches a stop but to move a central letter past it
         by Koszul swaps, which commute with every rule, so ``head`` times the
-        normal form of ``s*g`` (``_behind``) is exact, rewrite for rewrite.
+        normal form of ``s*g`` (in ``_insert``) is exact, rewrite for rewrite.
         ``scalar.make_room`` bounds the table and the cache by
         ``PRODUCT_TABLE_CAP`` and ``WORD_MEMO_CAP``; the table makes room only
         as a call starts, so every product a call finishes stays there for
@@ -696,7 +702,7 @@ class Presentation:
         if ranks:
             w = tuple(sorted(start, key=ranks.__getitem__))
             if w != start:
-                odd = [ranks[g] for g in start if self._by_name[g].parity]
+                odd = [ranks[g] for g in start if self._parities[g]]
                 sign = _MINUS_ONE if _inversions(odd) & 1 else ONE
         k = self._first_reducible(w)
         if k is None:
@@ -749,14 +755,17 @@ class Presentation:
         A reducible (v, g) splits v after its last stop for g in v[:-1]
         into head*s, or takes head empty when there is none.  Yields each
         such (s, g) that the product table does not hold and receives the
-        (word, coefficient) pairs of the normal form of s*g, which
-        ``_behind`` puts behind head; the table holds only finished
-        products, so a hit is final.  Taking a
-        dict rather than a start word keeps no reference to that word once
-        its first letter is in, so a chain of pending pairs holds one word
-        per pair.
+        (word, coefficient) pairs of the normal form of s*g; the table
+        holds only finished products, so a hit is final.  Each term w of
+        s*g is put behind head: only a leading central letter of w can
+        pass a letter of head, so it moves to the front with the Koszul
+        sign of head, or the term is dropped if head starts with it.
+        Taking a dict rather than a start word keeps no reference to that
+        word once its first letter is in, so a chain of pending pairs holds
+        one word per pair.
         """
         pairs, products, stops = self._pairs, self._products, self._stops
+        central = self._central
         for g in letters:
             out = {}
             cut = stops.get(g)
@@ -771,30 +780,29 @@ class Presentation:
                     vg = products.get((v, g))
                     if vg is None:
                         vg = yield v, g
-                    if head:
-                        vg = self._behind(head, vg)
+                    odd = None
                     for w, c2 in vg:
-                        _accumulate(out, w, c2 if c is ONE else c * c2)
+                        if head:
+                            if w and w[0] in central:
+                                if head[0] == w[0]:
+                                    continue
+                                if odd is None:
+                                    odd = self.word_parity(head)
+                                w, c2 = w[:1] + head + w[1:], -c2 if odd else c2
+                            else:
+                                w = head + w
+                        if c is not ONE:
+                            c2 = c * c2
+                        acc = out.get(w)
+                        acc = c2 if acc is None else acc + c2
+                        if acc is ZERO:
+                            out.pop(w, None)
+                        else:
+                            out[w] = acc
                 else:
                     _accumulate(out, v + (g,), c)
             terms = out
         return terms
-
-    def _behind(self, head: Word, terms) -> list:
-        """The (word, coefficient) pairs of head*w over the normal (w, c) of
-        ``terms``, where only a leading central letter of w can pass a letter
-        of head: it moves to the front with the Koszul sign of head, or the
-        term is dropped if head starts with it; others are concatenated."""
-        out = []
-        for w, c in terms:
-            if w and w[0] in self._central:
-                if head[0] == w[0]:
-                    continue
-                w, c = w[:1] + head + w[1:], -c if self.word_parity(head) else c
-            else:
-                w = head + w
-            out.append((w, c))
-        return out
 
     def _product(self, v: Word, g: str):
         """Generator: the normal form of ``v*g`` as a dict of its terms, for

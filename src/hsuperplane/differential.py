@@ -60,13 +60,15 @@ def exterior_d(a: Element, p: Presentation) -> Element:
 
 def _d_of_word(w: tuple, p: Presentation) -> Element:
     _check_letters((w,), _D_LETTERS, "a form argument")
+    p.word_parity(w)  # raises for a letter that p lacks
+    parities = p._parities
     terms = {}
     prefix_parity = 0
     for k, letter in enumerate(w):
         image = _D_IMAGES.get(letter)
         if image is not None:
             terms[w[:k] + (image,) + w[k + 1 :]] = _LEIBNIZ_SIGNS[prefix_parity]
-        prefix_parity ^= p.generator(letter).parity
+        prefix_parity ^= parities[letter]
     return p.normal_form(Element(terms))
 
 

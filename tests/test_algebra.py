@@ -642,6 +642,8 @@ def test_word_parity(plane):
     assert plane.word_parity(("th", "dx", "h")) == 1
     assert plane.parity(word("th", "dx") + word("x")) == 0
     assert plane.parity(word("th") + word("x")) is None
+    with pytest.raises(UnknownGeneratorError, match="unknown generator 'y' in presentation plane"):
+        plane.word_parity(("th", "y", "x"))
 
 
 # -- operator action ------------------------------------------------------------

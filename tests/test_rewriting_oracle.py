@@ -15,7 +15,9 @@ rewrites.  ``multiply`` must equal the normal form of the free product and
 normalise exactly its words.  Emptying a presentation's stops, so that each
 product is keyed by its whole word, must change no normal form or product;
 so must emptying its blocks, so that an interleaved word is folded as it
-stands rather than as its block-sorted word.
+stands rather than as its block-sorted word.  A product stored apart from
+the head of its word is put behind that head with the central letter's
+Koszul sign.
 """
 
 import pytest
@@ -304,3 +306,29 @@ def test_block_sort_changes_no_normal_form(name):
         assert p.multiply(a, b) == blockless.multiply(a, b)
 
     check()
+
+
+# head*x*th splits after head's last stop for th, so the product x*th =
+# th*x + h*x*x is stored apart from head and its terms are put behind head:
+# the term led by the central letter h moves in front of head with the Koszul
+# sign (-1)**parity(head), or vanishes when head starts with h.
+@pytest.mark.parametrize(
+    "name, head, sign",
+    [
+        ("h-calculus", ("dth",), 1),
+        ("h-calculus", ("dx",), -1),
+        ("h-calculus", ("dth", "dx"), -1),
+        ("h-calculus", ("h", "dx"), 0),
+        ("coaction-product", ("a",), 1),
+        ("coaction-product", ("bt",), -1),
+        ("coaction-product", ("a", "bt", "dx"), 1),
+        ("coaction-product", ("h", "a"), 0),
+    ],
+)
+def test_central_letter_moves_in_front_of_the_head(name, head, sign):
+    p = rebuilt(get_presentation(name))
+    e = Element.word(head + ("x", "th"))
+    nf = p.normal_form(e)
+    assert list(p._products) == [(("x",), "th")]
+    assert nf == Element.word(head + ("th", "x")) + sign * Element.word(("h",) + head + ("x", "x"))
+    assert nf == plain_leftmost(p, e)
