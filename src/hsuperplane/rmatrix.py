@@ -301,28 +301,42 @@ def _suite_tensor(name: str) -> SuperTensor:
 # -- embeddings and Yang-Baxter checks -------------------------------------------
 
 
+@functools.cache
+def _embedding(n: int, active: tuple, graded: bool) -> tuple:
+    """The (index, source index, odd) triples of ``_embedded`` for one shape:
+    each index whose passive slots repeat their upper value below, the
+    index of the tensor it reads (active slots, upper then lower), and
+    whether its Koszul sign is -1.  Graded, each passive index contributes
+    (-1) to the power of its parity times the parities of the active legs
+    to its right, upper and lower."""
+    par = SuperIndex.parity
+    passive = [s for s in range(n) if s not in active]
+    right_of = [(s, [a for a in active if a > s]) for s in passive]
+    out = []
+    for idx in _indices(2 * n):
+        if any(idx[s] != idx[n + s] for s in passive):
+            continue
+        source = tuple(idx[a] for a in active) + tuple(idx[n + a] for a in active)
+        odd = graded and sum(
+            par(idx[s]) * (par(idx[a]) + par(idx[n + a])) for s, right in right_of for a in right
+        ) % 2 == 1
+        out.append((idx, source, odd))
+    return tuple(out)
+
+
 def _embedded(entries: dict, n: int, active: tuple, graded: bool = True) -> dict:
     """Entries of a tensor placed on the ``active`` slots (0-based, ascending)
     of an n-fold tensor product, with the identity on the other slots.
 
-    Graded, each passive index contributes (-1) to the power of its parity
-    times the parities of the active legs to its right, upper and lower.
+    The domain is fixed by the shape: ``_embedding`` builds its 2^(n +
+    len(active)) triples once per (n, active, graded), 32 for ``embed`` and
+    8 for ``rtt_expand``.  They hold no entries; each call signs its own.
     """
-    par = SuperIndex.parity
-    passive = [s for s in range(n) if s not in active]
-    right_of = [(s, [a for a in active if a > s]) for s in passive]
     out = {}
-    for idx in _indices(2 * n):
-        if any(idx[s] != idx[n + s] for s in passive):
-            continue
-        base = entries.get(tuple(idx[a] for a in active) + tuple(idx[n + a] for a in active))
-        if base is None or base.is_zero():
-            continue
-        if graded and sum(
-            par(idx[s]) * (par(idx[a]) + par(idx[n + a])) for s, right in right_of for a in right
-        ) % 2:
-            base = -base
-        out[idx] = base
+    for idx, source, odd in _embedding(n, active, graded):
+        base = entries.get(source)
+        if base is not None and not base.is_zero():
+            out[idx] = -base if odd else base
     return out
 
 

@@ -34,16 +34,21 @@ identity, and the table holds no more than the scalars alive elsewhere.
 ``sc(k)`` of a small integer, -16 to 16, returns a constant kept in a dict
 (``ZERO`` and ``ONE`` among them) without a lookup.
 
-Products (so quotients), sums (so differences) and negations are memoised
-by value: each result is computed once, by the paths above, and kept in a
-module-level table keyed by its operands; an equal operand pair later gets
-the same result object.  Each table is bounded by ``SCALAR_TABLE_CAP``
-through ``make_room``, the one rule for every bounded memo of the engine.
-A scalar caches its hash the first time it is hashed.
+Products (so quotients), sums (so differences) and negations are memoised:
+each result is computed once, by the paths above, and kept in a
+module-level table keyed by its operands' serials, the ``_key`` that
+``_canonical`` gives each new scalar from a counter.  An equal operand pair
+is the same objects, so it gets the same result object, and a lookup hashes
+ints without calling ``ScalarQ.__hash__`` or ``__eq__``.  The tables hold no
+operands; a serial, unlike an ``id()``, is never reused after its scalar
+dies.  Each table is bounded by ``SCALAR_TABLE_CAP`` through ``make_room``,
+the one rule for every bounded memo of the engine.  A scalar caches its
+hash the first time it is hashed.
 """
 
 from __future__ import annotations
 
+import itertools
 import weakref
 from fractions import Fraction
 from typing import Union
@@ -376,7 +381,7 @@ class ScalarQ:
     makes them one object.
     """
 
-    __slots__ = ("num", "den", "_hash", "__weakref__")
+    __slots__ = ("num", "den", "_key", "_hash", "__weakref__")
 
     def __new__(cls, num=0, den=1):
         num = num if isinstance(num, PolyQ) else PolyQ.constant(num)
@@ -406,14 +411,15 @@ class ScalarQ:
     @staticmethod
     def _canonical(num: PolyQ, den: PolyQ) -> "ScalarQ":
         """The one live scalar num/den, for an unchecked canonical pair: the
-        interned object if there is one, else a new one, interned.  Every
-        scalar is made here."""
+        interned object if there is one, else a new one, interned with the
+        next serial as its ``_key``.  Every scalar is made here."""
         key = (num._c, den._c)
         out = _INTERNED.get(key)
         if out is None:
             out = object.__new__(ScalarQ)
             object.__setattr__(out, "num", num)
             object.__setattr__(out, "den", den)
+            object.__setattr__(out, "_key", next(_SERIALS))
             _INTERNED[key] = out
         return out
 
@@ -469,17 +475,19 @@ class ScalarQ:
             return self
         if not self.num._c:
             return other
-        out = _SUMS.get((self, other))
+        key = (self._key, other._key)
+        out = _SUMS.get(key)
         if out is None:
-            out = make_room(_SUMS, SCALAR_TABLE_CAP)[self, other] = _sum(self, other)
+            out = make_room(_SUMS, SCALAR_TABLE_CAP)[key] = _sum(self, other)
         return out
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = _NEGATIONS.get(self)
+        key = self._key
+        out = _NEGATIONS.get(key)
         if out is None:
-            out = make_room(_NEGATIONS, SCALAR_TABLE_CAP)[self] = ScalarQ._canonical(
+            out = make_room(_NEGATIONS, SCALAR_TABLE_CAP)[key] = ScalarQ._canonical(
                 -self.num, self.den
             )
         return out
@@ -502,7 +510,11 @@ class ScalarQ:
                 return NotImplemented
         if self is ONE:
             return other
-        return _product(self, other)
+        key = (self._key, other._key)
+        out = _PRODUCTS.get(key)
+        if out is None:
+            out = make_room(_PRODUCTS, SCALAR_TABLE_CAP)[key] = _multiply(self, other)
+        return out
 
     __rmul__ = __mul__
 
@@ -514,7 +526,7 @@ class ScalarQ:
             raise DivisionByZero("scalar division by zero")
         # N, D coprime: D/N over lead(N) is the canonical inverse, with no gcd
         lead = _div(1, other.num._c[-1])
-        return _product(self, ScalarQ._canonical(other.den.scale(lead), other.num.scale(lead)))
+        return self * ScalarQ._canonical(other.den.scale(lead), other.num.scale(lead))
 
     def __rtruediv__(self, other):
         return self._coerce(other) / self
@@ -611,20 +623,12 @@ def make_room(memo: dict, cap: int) -> dict:
     return memo
 
 
-# value-keyed result tables: (a, b) -> a*b, (a, b) -> a+b for nonzero a and
-# b, a -> -a; each bounded by SCALAR_TABLE_CAP through make_room
+# serial-keyed result tables: (a._key, b._key) -> a*b, -> a+b for nonzero a
+# and b, a._key -> -a; each bounded by SCALAR_TABLE_CAP through make_room
 SCALAR_TABLE_CAP = 4096
 _PRODUCTS: dict = {}
 _SUMS: dict = {}
 _NEGATIONS: dict = {}
-
-
-def _product(a: ScalarQ, b: ScalarQ) -> ScalarQ:
-    """a*b from the product table, computed by ``_multiply`` on a miss."""
-    out = _PRODUCTS.get((a, b))
-    if out is None:
-        out = make_room(_PRODUCTS, SCALAR_TABLE_CAP)[a, b] = _multiply(a, b)
-    return out
 
 
 def _multiply(a: ScalarQ, b: ScalarQ) -> ScalarQ:
@@ -653,6 +657,8 @@ def _sum(a: ScalarQ, b: ScalarQ) -> ScalarQ:
 
 # the weak intern table: (num._c, den._c) -> the one live scalar
 _INTERNED = weakref.WeakValueDictionary()
+# each scalar's _key; a serial is never given twice, unlike an id()
+_SERIALS = itertools.count()
 # small integers coerce to these constants without an intern lookup
 _SMALL_INTS = {k: ScalarQ(k) for k in range(-16, 17)}
 ZERO = _SMALL_INTS[0]

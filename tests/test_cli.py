@@ -140,6 +140,16 @@ def test_verify_all_json_matches_golden_report(tmp_path, capsys):
     assert got == (DATA / "verify_all.json").read_text()
 
 
+def test_second_verify_all_json_matches_golden_report(tmp_path, capsys):
+    # the second pass reads the filled scalar tables and the built embedding maps
+    for k in range(2):
+        target = tmp_path / f"all{k}.json"
+        assert main(["verify", "all", "--json", str(target)]) == 0
+        capsys.readouterr()
+        got = re.sub(r'\n  "version": "[^"]*",', "", target.read_text(), count=1)
+        assert got == (DATA / "verify_all.json").read_text()
+
+
 def test_verify_rejects_unknown_suite():
     with pytest.raises(SystemExit) as err:
         main(["verify", "nosuite"])

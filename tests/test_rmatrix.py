@@ -18,6 +18,7 @@ from hsuperplane.rmatrix import (
     SuperMatrix,
     SuperTensor,
     TENSOR_BUILDERS,
+    _embedded,
     _free_product,
     build_K_h,
     build_K_hq,
@@ -404,3 +405,44 @@ def test_sparse_free_product_matches_the_dense_loop(n, seed, density):
     rng = random.Random(seed)
     a, b = random_entry_map(rng, n, density), random_entry_map(rng, n, density)
     assert _free_product(a, b, n) == dense_free_product(a, b, n)
+
+
+def per_index_embedded(entries: dict, n: int, active: tuple, graded: bool = True) -> dict:
+    """The embedding as a loop over every index, testing the passive slots and
+    summing the Koszul parities for each index on each call."""
+    par = SuperIndex.parity
+    passive = [s for s in range(n) if s not in active]
+    right_of = [(s, [a for a in active if a > s]) for s in passive]
+    out = {}
+    for idx in itertools.product(SuperIndex.values, repeat=2 * n):
+        if any(idx[s] != idx[n + s] for s in passive):
+            continue
+        base = entries.get(tuple(idx[a] for a in active) + tuple(idx[n + a] for a in active))
+        if base is None or base.is_zero():
+            continue
+        if graded and sum(
+            par(idx[s]) * (par(idx[a]) + par(idx[n + a])) for s, right in right_of for a in right
+        ) % 2:
+            base = -base
+        out[idx] = base
+    return out
+
+
+# (n, active) as embed (slots 12, 13, 23) and rtt_expand (T1, T2) pass them
+EMBEDDING_SHAPES = [(3, (0, 1)), (3, (0, 2)), (3, (1, 2)), (2, (0,)), (2, (1,))]
+
+
+@pytest.mark.parametrize("graded", [True, False])
+@pytest.mark.parametrize("n, active", EMBEDDING_SHAPES)
+def test_embedded_matches_the_per_index_loop(n, active, graded):
+    rng = random.Random(f"{n}{active}{graded}")
+    for density in (0.2, 0.5, 0.9):
+        maps = [random_entry_map(rng, len(active), density) for _ in range(2)]
+        # a zero entry is skipped, as a missing one is
+        maps[1][next(iter(maps[1]), (1,) * 2 * len(active))] = Element.zero()
+        # twice in a row, with different maps of the same shape
+        for entries in maps:
+            got = _embedded(entries, n, active, graded)
+            expected = per_index_embedded(entries, n, active, graded)
+            assert got == expected
+            assert list(got) == list(expected)

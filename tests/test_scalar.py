@@ -2,6 +2,7 @@
 
 import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -373,3 +374,60 @@ def test_intern_table_holds_only_live_scalars():
     del made
     gc.collect()
     assert len(scalar._INTERNED) == before
+
+
+def test_result_tables_keep_no_operand_alive():
+    """The tables hold results but no operands; a key is never reused."""
+    tables = (scalar._PRODUCTS, scalar._SUMS, scalar._NEGATIONS)
+    for table in tables:
+        table.clear()
+    gc.collect()
+    before = len(scalar._INTERNED)
+    a = ScalarQ(PolyQ([2 * 10**6, 1]), PolyQ([0, 0, 1]))
+    b = ScalarQ(PolyQ([3 * 10**6, 0, 1]), PolyQ([1, 1]))
+    results = [a * b, a + b, -a, -b, a - b, a / b]
+    operands = [weakref.ref(a), weakref.ref(b)]
+    del a, b
+    gc.collect()
+    assert [ref() for ref in operands] == [None, None]
+    assert len(scalar._INTERNED) == before + len(set(map(id, results)))
+    del results
+    for table in tables:
+        table.clear()
+    gc.collect()
+    assert len(scalar._INTERNED) == before
+
+    # a new value, made where a dropped one lived, gets no stale result
+    fixed = ScalarQ(PolyQ([1, 2]), PolyQ([3, 0, 1]))
+    for k in range(200):
+        x = ScalarQ(PolyQ([4 * 10**6 + k, 1]), PolyQ([0, 1]))
+        assert x * fixed is scalar._multiply(x, fixed)
+        del x
+
+
+def test_warm_table_hits_call_no_scalar_hash_or_eq(monkeypatch):
+    """A hit hashes a tuple of ints: -1 and -2, whose hashes are equal in
+    CPython, make no ``ScalarQ.__eq__`` call, and no ``__hash__`` runs."""
+    calls = {"hash": 0, "eq": 0}
+    plain_hash, plain_eq = ScalarQ.__hash__, ScalarQ.__eq__
+
+    def counted_hash(self):
+        calls["hash"] += 1
+        return plain_hash(self)
+
+    def counted_eq(self, other):
+        calls["eq"] += 1
+        return plain_eq(self, other)
+
+    x = ScalarQ(PolyQ([1, 0, 1]), PolyQ([0, 1]))
+    a, b = sc(-1) * x, sc(-2) * Q
+
+    def operations():
+        return [sc(-1) * x, sc(-2) * x, a + b, -a]
+
+    warm = operations()
+    monkeypatch.setattr(ScalarQ, "__hash__", counted_hash)
+    monkeypatch.setattr(ScalarQ, "__eq__", counted_eq)
+    for _ in range(3):
+        assert all(hit is result for hit, result in zip(operations(), warm))
+    assert calls == {"hash": 0, "eq": 0}
