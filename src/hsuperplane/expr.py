@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Mapping, Optional
 
-from .algebra import Element, Presentation, RuleError
+from .algebra import _MINUS_ONE, Element, Presentation, RuleError
 from .scalar import I, ONE, Q, ScalarQ
 
 
@@ -277,9 +277,9 @@ def format_element(element: Element, presentation: Optional[Presentation] = None
     for word, coeff in element.sorted_terms(presentation):
         if not word:
             rendered.append(str(coeff))
-        elif coeff == ONE:
+        elif coeff is ONE:  # scalars are interned: identity is equality
             rendered.append(_word_str(word))
-        elif coeff == -ONE:
+        elif coeff is _MINUS_ONE:
             rendered.append("-" + _word_str(word))
         else:
             rendered.append(f"{_scalar_product_str(coeff)}*{_word_str(word)}")

@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .algebra import AlgebraError, Element, Presentation, _concatenations, gen, word
+from .algebra import AlgebraError, Element, Presentation, _accumulate, _concatenations, gen, word
 from .presentations import (
     CALCULUS_DERIVATIVES,
     CALCULUS_GENERATORS,
@@ -561,13 +561,12 @@ _D = {1: "px", 2: "pth"}
 def _entry_sum(t: SuperTensor, term) -> Element:
     """Sum over index values k, l of t.entry(index) * word(letters), where
     ``term(k, l)`` gives the (index, letters) pair of each summand."""
-    total = Element.zero()
+    terms = {}
     for k, l in _indices(2):
         index, letters = term(k, l)
-        entry = t.entry(index)
-        if not entry.is_zero():
-            total = total + entry * Element.word(letters)
-    return total
+        for w, c in t.entry(index).items():
+            _accumulate(terms, w + letters, c)
+    return Element._wrap(terms)
 
 
 def coordinate_differential_rules(t: SuperTensor, factor: ScalarQ = ONE) -> dict:

@@ -1,34 +1,31 @@
 """Exact coefficient arithmetic for the deformation parameter q.
 
-Scalars are rational functions of a single indeterminate q with Gaussian
-rational coefficients.  Everything is kept in a canonical reduced form
-(numerator and denominator coprime, denominator monic) so that equality of
-scalars is a structural comparison, never a numerical one.  The q -> 1
-specialisation needed by the contraction machinery is provided by
-``ScalarQ.limit_at_one``, which raises ``PoleAtOne`` on a genuine pole.
+A scalar is a rational function of q with Gaussian rational coefficients,
+kept as a triple (k, N, D) meaning q^k * N/D: k is any integer, N and D are
+coprime polynomials, neither divisible by q, and D is monic.  This form is
+canonical, so equality of scalars is a structural comparison.  The q -> 1
+specialisation of the contraction machinery, ``ScalarQ.limit_at_one``, is
+N(1)/D(1); it raises ``PoleAtOne`` on a genuine pole.
 
 A polynomial coefficient is an ``int`` when integral, a ``Fraction`` when
 real and not integral, and a ``GaussianRational`` only when its imaginary
 part is nonzero: a real result goes back to ``int`` or ``Fraction``, and
 division goes through ``Fraction``, never ``/`` on ints, so most arithmetic
 is on ints.  ``PolyQ.coeffs`` and ``lead`` are ``GaussianRational`` views,
-for outside readers.  Reducing a scalar
-needs no polynomial gcd when its denominator is 1 or a monomial c*q^k: the
-gcd is then a power of q, removed by shifting coefficients.  Only a
-denominator with two or more terms, such as q-1, runs Euclid's algorithm.
+and ``ScalarQ.num`` and ``den`` the polynomials q^max(k,0)*N and
+q^max(-k,0)*D, for outside readers.
 
-Most scalars met in practice are Laurent monomials c*q^k (k any integer),
-and those take exponent arithmetic, never a convolution or Euclid: a
-product of two is (c1*c2)*q^(k1+k2), built directly in canonical form; a
-monomial times a general N/D scales N and cancels only the power of q it
-can share with D or N, since N and D are coprime; sums of two monomials
-with the same exponent and ``qpow`` go through the same constructor.
-Negation and division need no such case for a monomial: -N/D is
-canonical as it stands, and division multiplies by the divisor's inverse,
-D/N made monic, with no gcd.  Every path keeps the canonical invariant.
+Most scalars met in practice are Laurent monomials c*q^k, that is N = c and
+D = 1, so q^k takes O(1) memory, and a product with one adds exponents and
+scales the other N, with nothing to cancel.  Any other product, a sum (over
+the lower power of q) and construction go through the one reducer
+``_reduced``: it strips the powers of q from N and D into k, runs Euclid's
+algorithm only when what is left of D has two or more terms, and makes D
+monic.  Negation, conjugation and the inverse q^-k*D/N of a division keep
+the invariant as they stand.
 
 Scalars are hash-consed: ``ScalarQ._canonical`` is the only place that
-creates one, and it first looks the canonical pair up in a weak intern
+creates one, and it first looks the canonical triple up in a weak intern
 table, so every live scalar is the one object of its value.  Equality is
 identity, and the table holds no more than the scalars alive elsewhere.
 ``sc(k)`` of a small integer, -16 to 16, returns a constant kept in a dict
@@ -337,14 +334,16 @@ class PolyQ:
         return f"PolyQ({list(self._c)!r})"
 
     def __str__(self):
-        if self.is_zero():
-            return "0"
-        parts = []
-        for k in range(self.degree, -1, -1):
-            c = self._c[k]
-            if c:
-                parts.append(_poly_term_str(c, k, first=not parts))
-        return "".join(parts)
+        return _poly_str(self._c, 0)
+
+
+def _poly_str(coeffs: tuple, shift: int) -> str:
+    """The polynomial with ascending ``coeffs``, times q^shift, as text."""
+    parts = []
+    for k in range(len(coeffs) - 1, -1, -1):
+        if coeffs[k]:
+            parts.append(_poly_term_str(coeffs[k], k + shift, first=not parts))
+    return "".join(parts) or "0"
 
 
 def _poly_term_str(c, power: int, first: bool) -> str:
@@ -374,57 +373,51 @@ _P_ONE = PolyQ.constant(1)
 
 
 class ScalarQ:
-    """Rational function of q in canonical reduced form.
+    """Rational function q^k * N/D of q in canonical form.
 
-    Invariant: numerator and denominator are coprime and the denominator is
-    monic, so two equal scalars are structurally identical, and interning
-    makes them one object.
+    Invariant: N and D are coprime, neither is divisible by q, and D is
+    monic (zero is k = 0, N = 0, D = 1), so two equal scalars are
+    structurally identical, and interning makes them one object.  ``num``
+    and ``den`` read the scalar back as one polynomial over another.
     """
 
-    __slots__ = ("num", "den", "_key", "_hash", "__weakref__")
+    __slots__ = ("_k", "_n", "_d", "_key", "_hash", "__weakref__")
 
     def __new__(cls, num=0, den=1):
         num = num if isinstance(num, PolyQ) else PolyQ.constant(num)
         den = den if isinstance(den, PolyQ) else PolyQ.constant(den)
         if den.is_zero():
             raise DivisionByZero("scalar with zero denominator")
-        if num.is_zero():
-            num, den = _P_ZERO, _P_ONE
-        elif not any(den._c[:-1]):
-            # den = c*q^k; gcd(num, den) = q^min(k, v), v the lowest degree in num
-            k = den.degree
-            shift = min(k, _low_degree(num._c))
-            if shift:
-                num = PolyQ._canonical(num._c[shift:])
-            lead = den._c[-1]
-            if lead != 1:
-                num = num.scale(_div(1, lead))
-            den = PolyQ._canonical((0,) * (k - shift) + (1,)) if k > shift else _P_ONE
-        else:
-            g = num.gcd(den)
-            if g.degree > 0:
-                num, den = num // g, den // g
-            inverse = _div(1, den._c[-1])
-            num, den = num.scale(inverse), den.scale(inverse)
-        return ScalarQ._canonical(num, den)
+        return _reduced(0, num, den)
 
     @staticmethod
-    def _canonical(num: PolyQ, den: PolyQ) -> "ScalarQ":
-        """The one live scalar num/den, for an unchecked canonical pair: the
-        interned object if there is one, else a new one, interned with the
-        next serial as its ``_key``.  Every scalar is made here."""
-        key = (num._c, den._c)
+    def _canonical(k: int, num: PolyQ, den: PolyQ) -> "ScalarQ":
+        """The one live scalar q^k*num/den, for an unchecked canonical triple:
+        the interned object if there is one, else a new one, interned with
+        the next serial as its ``_key``.  Every scalar is made here."""
+        key = (k, num._c, den._c)
         out = _INTERNED.get(key)
         if out is None:
             out = object.__new__(ScalarQ)
-            object.__setattr__(out, "num", num)
-            object.__setattr__(out, "den", den)
+            object.__setattr__(out, "_k", k)
+            object.__setattr__(out, "_n", num)
+            object.__setattr__(out, "_d", den)
             object.__setattr__(out, "_key", next(_SERIALS))
             _INTERNED[key] = out
         return out
 
     def __setattr__(self, name, value):
         raise AttributeError("ScalarQ is immutable")
+
+    @property
+    def num(self) -> PolyQ:
+        """The numerator q^max(k, 0)*N, coprime to ``den``."""
+        return _raised(self._n, max(self._k, 0))
+
+    @property
+    def den(self) -> PolyQ:
+        """The monic denominator q^max(-k, 0)*D."""
+        return _raised(self._d, max(-self._k, 0))
 
     @staticmethod
     def _coerce(value) -> "ScalarQ":
@@ -439,41 +432,21 @@ class ScalarQ:
         return NotImplemented
 
     def is_zero(self) -> bool:
-        return not self.num._c
+        return not self._n._c
 
     def _monomial(self):
         """``(c, k)`` when this scalar is c*q^k (c nonzero), else None."""
-        num, den = self.num._c, self.den._c
-        if len(den) == 1:  # canonical: a degree-0 denominator is 1
-            if num and not any(num[:-1]):
-                return num[-1], len(num) - 1
-        elif len(num) == 1 and not any(den[:-1]):
-            return num[0], 1 - len(den)
-        return None
-
-    def _times_monomial(self, c, k: int) -> "ScalarQ":
-        """This nonzero, non-monomial N/D times c*q^k.
-
-        N and D are coprime, so only a power of q can cancel: the one that
-        q^k shares with D (k > 0) or that N shares with q^-k (k < 0).
-        """
-        num, den = _normal([a * c for a in self.num._c]), self.den._c
-        if k > 0:
-            shift = min(k, _low_degree(den))
-            num, den = (0,) * (k - shift) + num, den[shift:]
-        elif k < 0:
-            shift = min(-k, _low_degree(num))
-            num, den = num[shift:], (0,) * (-k - shift) + den
-        return ScalarQ._canonical(PolyQ._canonical(num), PolyQ._canonical(den))
+        num = self._n._c
+        return (num[0], self._k) if len(num) == 1 and len(self._d._c) == 1 else None
 
     def __add__(self, other):
         if type(other) is not ScalarQ:
             other = self._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        if not other.num._c:
+        if not other._n._c:
             return self
-        if not self.num._c:
+        if not self._n._c:
             return other
         key = (self._key, other._key)
         out = _SUMS.get(key)
@@ -488,7 +461,7 @@ class ScalarQ:
         out = _NEGATIONS.get(key)
         if out is None:
             out = make_room(_NEGATIONS, SCALAR_TABLE_CAP)[key] = ScalarQ._canonical(
-                -self.num, self.den
+                self._k, -self._n, self._d
             )
         return out
 
@@ -524,9 +497,9 @@ class ScalarQ:
             return NotImplemented
         if other.is_zero():
             raise DivisionByZero("scalar division by zero")
-        # N, D coprime: D/N over lead(N) is the canonical inverse, with no gcd
-        lead = _div(1, other.num._c[-1])
-        return self * ScalarQ._canonical(other.den.scale(lead), other.num.scale(lead))
+        # N, D coprime: q^-k*D/N over lead(N) is the canonical inverse, with no gcd
+        lead = _div(1, other._n._c[-1])
+        return self * ScalarQ._canonical(-other._k, other._d.scale(lead), other._n.scale(lead))
 
     def __rtruediv__(self, other):
         return self._coerce(other) / self
@@ -550,16 +523,16 @@ class ScalarQ:
 
     def conjugate(self) -> "ScalarQ":
         """Complex conjugation; the deformation parameter q is treated as real,
-        so the conjugate of a canonical N/D is canonical (a monic denominator
-        stays monic) and needs no reduction."""
-        return ScalarQ._canonical(self.num.conjugate(), self.den.conjugate())
+        so the conjugate of a canonical q^k*N/D is canonical (a monic
+        denominator stays monic) and needs no reduction."""
+        return ScalarQ._canonical(self._k, self._n.conjugate(), self._d.conjugate())
 
     def limit_at_one(self) -> GaussianRational:
-        """Value at q = 1; a zero denominator here is a genuine pole."""
-        dval = self.den.evaluate(1)
+        """Value N(1)/D(1) at q = 1; a zero denominator here is a genuine pole."""
+        dval = self._d.evaluate(1)
         if not dval:
             raise PoleAtOne(f"pole at q = 1 in {self}")
-        return GaussianRational._coerce(_div(self.num.evaluate(1), dval))
+        return GaussianRational._coerce(_div(self._n.evaluate(1), dval))
 
     def __eq__(self, other):
         """Identity, after coercing an int, Fraction or GaussianRational."""
@@ -575,9 +548,9 @@ class ScalarQ:
             return self._hash
         except AttributeError:
             # a constant hashes like the number it equals
-            num, den = self.num._c, self.den._c
-            constant = len(den) == 1 and len(num) <= 1
-            value = hash((num[0] if num else 0) if constant else (num, den))
+            k, num, den = self._k, self._n._c, self._d._c
+            constant = not k and len(den) == 1 and len(num) <= 1
+            value = hash((num[0] if num else 0) if constant else (k, num, den))
             object.__setattr__(self, "_hash", value)
             return value
 
@@ -588,31 +561,31 @@ class ScalarQ:
         return f"ScalarQ({self.num!r}, {self.den!r})"
 
     def __str__(self):
-        if self.den.degree == 0:
-            return str(self.num)
         mono = self._monomial()
         if mono is not None:
-            # c over q^k prints as a single power c*q^-k
+            # c*q^k prints as a single power, k of either sign
             return _poly_term_str(*mono, first=True)
-        num_terms = sum(1 for c in self.num._c if c)
-        num_str = str(self.num) if num_terms == 1 else f"({self.num})"
-        return f"{num_str}/({self.den})"
+        k, num, den = self._k, self._n._c, self._d._c
+        num_str = _poly_str(num, max(k, 0))
+        if len(den) == 1 and k >= 0:
+            return num_str
+        if len(num) > 1:  # two terms at least: N(0) and the lead are nonzero
+            num_str = f"({num_str})"
+        return f"{num_str}/({_poly_str(den, max(-k, 0))})"
 
 
-def _low_degree(coeffs: tuple) -> int:
-    """Index of the first nonzero coefficient."""
-    return next(j for j, c in enumerate(coeffs) if c)
+def _raised(p: PolyQ, shift: int) -> PolyQ:
+    """p*q^shift, for shift >= 0."""
+    return PolyQ._canonical((0,) * shift + p._c) if shift else p
 
 
 def _laurent(c, k: int) -> ScalarQ:
-    """Canonical c*q^k: (0,)*k + (c,) over 1, or (c,) over q^-k."""
+    """Canonical c*q^k: k with c over 1."""
     if not c:
         return ZERO
     if type(c) is not int:
         c = _native(c)
-    if k >= 0:
-        return ScalarQ._canonical(PolyQ._canonical((0,) * k + (c,)), _P_ONE)
-    return ScalarQ._canonical(PolyQ._canonical((c,)), PolyQ._canonical((0,) * -k + (1,)))
+    return ScalarQ._canonical(k, PolyQ._canonical((c,)), _P_ONE)
 
 
 def make_room(memo: dict, cap: int) -> dict:
@@ -631,31 +604,50 @@ _SUMS: dict = {}
 _NEGATIONS: dict = {}
 
 
+def _reduced(k: int, num: PolyQ, den: PolyQ) -> ScalarQ:
+    """The canonical q^k*num/den, for a nonzero den: the powers of q in num
+    and den go into k, Euclid runs only when what is left of den has two or
+    more terms, and den is made monic.  Only this strips q or takes a gcd."""
+    if not num._c:
+        return ScalarQ._canonical(0, _P_ZERO, _P_ONE)
+    i = next(x for x, c in enumerate(num._c) if c)
+    j = next(x for x, c in enumerate(den._c) if c)
+    num, den = PolyQ._canonical(num._c[i:]), PolyQ._canonical(den._c[j:])
+    if len(den._c) > 1:
+        g = num.gcd(den)
+        if g.degree > 0:
+            num, den = num // g, den // g
+    lead = den._c[-1]
+    if lead != 1:
+        inverse = _div(1, lead)
+        num, den = num.scale(inverse), den.scale(inverse)
+    return ScalarQ._canonical(k + i - j, num, den)
+
+
 def _multiply(a: ScalarQ, b: ScalarQ) -> ScalarQ:
-    """a*b: exponent arithmetic when an operand is c*q^k, else the reduction."""
-    if not a.num._c or not b.num._c:
+    """a*b: an operand c*q^k adds k and scales the other's N, with nothing to
+    cancel; any other pair goes through the reduction."""
+    if not a._n._c or not b._n._c:
         return ZERO
+    k = a._k + b._k
     ma, mb = a._monomial(), b._monomial()
     if ma is not None:
-        if mb is not None:
-            return _laurent(ma[0] * mb[0], ma[1] + mb[1])
-        return b._times_monomial(*ma)
+        return ScalarQ._canonical(k, b._n.scale(ma[0]), b._d)
     if mb is not None:
-        return a._times_monomial(*mb)
-    return ScalarQ(a.num * b.num, a.den * b.den)
+        return ScalarQ._canonical(k, a._n.scale(mb[0]), a._d)
+    return _reduced(k, a._n * b._n, a._d * b._d)
 
 
 def _sum(a: ScalarQ, b: ScalarQ) -> ScalarQ:
-    """a+b for nonzero a and b."""
-    ma, mb = a._monomial(), b._monomial()
-    if ma is not None and mb is not None and ma[1] == mb[1]:
-        return _laurent(ma[0] + mb[0], ma[1])
-    if a.den == b.den:
-        return ScalarQ(a.num + b.num, a.den)
-    return ScalarQ(a.num * b.den + b.num * a.den, a.den * b.den)
+    """a+b for nonzero a and b, over the lower power of q."""
+    k = min(a._k, b._k)
+    na, nb = _raised(a._n, a._k - k), _raised(b._n, b._k - k)
+    if a._d == b._d:
+        return _reduced(k, na + nb, a._d)
+    return _reduced(k, na * b._d + nb * a._d, a._d * b._d)
 
 
-# the weak intern table: (num._c, den._c) -> the one live scalar
+# the weak intern table: (k, N._c, D._c) -> the one live scalar
 _INTERNED = weakref.WeakValueDictionary()
 # each scalar's _key; a serial is never given twice, unlike an id()
 _SERIALS = itertools.count()

@@ -19,6 +19,7 @@ from hsuperplane.cli import (
     main,
     run_suite,
 )
+from hsuperplane.scalar import ScalarQ
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -218,6 +219,23 @@ def test_second_verify_all_rederives_no_input():
     counts = _calls_during(lambda: reports.append(run_suite("all")), inputs)
     assert counts == Counter()
     assert reports[0].to_json() == first.to_json()
+
+
+def test_warm_verify_all_compares_few_scalars(monkeypatch):
+    # scalars are interned, so printing tests a coefficient against 1 and -1
+    # by identity; a warm pass runs only a handful of ScalarQ.__eq__ calls
+    run_suite("all")
+    calls = []
+    plain_eq = ScalarQ.__eq__
+
+    def counted_eq(self, other):
+        calls.append(1)
+        return plain_eq(self, other)
+
+    monkeypatch.setattr(ScalarQ, "__eq__", counted_eq)
+    for _ in range(3):
+        assert run_suite("all").passed
+    assert len(calls) <= 20
 
 
 # -- limit and solve-consistency ---------------------------------------------------

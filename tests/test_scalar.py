@@ -2,6 +2,7 @@
 
 import gc
 import random
+import tracemalloc
 import weakref
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ import pytest
 
 from hsuperplane import scalar
 from hsuperplane.algebra import Element
+from hsuperplane.cli import main
 from hsuperplane.scalar import (
     DivisionByZero,
     GaussianRational,
@@ -431,3 +433,21 @@ def test_warm_table_hits_call_no_scalar_hash_or_eq(monkeypatch):
     for _ in range(3):
         assert all(hit is result for hit, result in zip(operations(), warm))
     assert calls == {"hash": 0, "eq": 0}
+
+
+def test_powers_of_q_take_constant_memory(capsys):
+    """q^k is stored as its exponent, so q^(10^7) costs what q costs."""
+    for table in (scalar._PRODUCTS, scalar._SUMS, scalar._NEGATIONS):
+        table.clear()
+    big = 10**7
+    tracemalloc.start()
+    try:
+        for make in (lambda: Q**big, lambda: (ONE / Q) ** big, lambda: qpow(big) * Q):
+            tracemalloc.reset_peak()
+            make()
+            assert tracemalloc.get_traced_memory()[1] < 2**20
+    finally:
+        tracemalloc.stop()
+    for text in ("q^10000000*x", "q^-10000000*x"):
+        assert main(["normalize", "--algebra", "q-superplane", text]) == 0
+        assert capsys.readouterr().out.strip() == text

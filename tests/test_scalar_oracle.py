@@ -182,6 +182,32 @@ def test_conjugate_matches_sympy(a):
     assert_shared_if_small_int(result)
 
 
+def quotient_str(s):
+    """The rendering rule read off ``num`` and ``den``: a polynomial over 1
+    prints as itself, c over q^k as the single power c*q^-k, and anything
+    else as num/(den), num in parentheses when it has two or more terms."""
+    num, den = s.num, s.den
+    if den.degree == 0:
+        return str(num)
+    if num.degree == 0 and not any(den.coeffs[:-1]):
+        return scalar._poly_term_str(num._c[0], -den.degree, first=True)
+    num_str = str(num) if sum(1 for c in num.coeffs if c) == 1 else f"({num})"
+    return f"{num_str}/({den})"
+
+
+@ORACLE
+@given(a=scalars, k=st.integers(-(10**4), 10**4))
+def test_derived_views_rebuild_and_print_the_scalar(a, k):
+    """``num`` and ``den`` are read-only views of q^k*N/D that rebuild the
+    scalar itself and print it as the full quotient would."""
+    s = a * qpow(k)
+    assert ScalarQ(s.num, s.den) is s
+    assert str(s) == quotient_str(s)
+    for name in ("num", "den"):
+        with pytest.raises(AttributeError):
+            setattr(s, name, getattr(s, name))
+
+
 # -- Laurent monomials c*q^k: the exponent-arithmetic paths -------------------------
 
 nonzero_gaussians = gaussians.filter(lambda c: not c.is_zero())
