@@ -757,7 +757,7 @@ def involution_check() -> VerificationReport:
     )
     for lhs in _STAR_INVARIANT_PAIRS:
         text, relation = _rule_relation(p, lhs)
-        image = p.normal_form(star(relation))
+        image = star(relation)
         report.add(f"star preserves {text}", p.show(image), image.is_zero())
     return report
 

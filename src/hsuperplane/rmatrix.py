@@ -5,7 +5,10 @@ K_{h,q}, K_h, the braid-form matrix Khat_h and the R-matrix R_h, checks
 the graded and ungraded Yang-Baxter equations with the slot embeddings
 carrying the Koszul signs, expands the reflection equation on a generic
 supermatrix into the supergroup relations, and regenerates the calculus
-rule catalogue from the K-matrix alone.
+rule catalogue from the K-matrix alone: the coordinate and derivative braid
+relations are solved for their rules, and the coordinate-differential,
+derivative-coordinate and derivative-differential exchange sectors are read
+off the K-matrix and its inverse.
 
 Index values are 1 (x-type, even) and 2 (theta-type, odd).  A rank-2n
 tensor maps a multi-index (n upper values followed by n lower values) to
@@ -28,6 +31,7 @@ from .presentations import (
     _relation_forms,
     get_presentation,
     solve_linear,
+    verify_presentation,
 )
 from .reports import VerificationReport
 from .scalar import ONE, Q, ScalarQ, ZERO, qpow, sc
@@ -492,15 +496,12 @@ def rtt_report() -> VerificationReport:
     """
     gl = get_presentation("gl-h11")
     entries = rtt_expand(_suite_tensor("Khat"))
-    report = VerificationReport("rtt", gl.name)
     labels = [
-        "".join(map(str, upper)) + "," + "".join(map(str, lower))
+        f"entry ({''.join(map(str, upper))},{''.join(map(str, lower))}) reduces to 0"
         for upper in _indices(2)
         for lower in _indices(2)
     ]
-    for label, element in zip(labels, entries):
-        nf = gl.normal_form(element)
-        report.add(f"entry ({label}) reduces to 0", gl.show(nf), nf.is_zero())
+    report = verify_presentation(gl, list(zip(labels, entries)), "rtt")
     free = _free_group(gl)
     canonical = [_canonical_modulo_h2(e, free) for e in entries]
     for label, form in zip(SUPERGROUP_RELATIONS, _relation_forms(SUPERGROUP_RELATIONS, free)):
@@ -569,119 +570,100 @@ def _entry_sum(t: SuperTensor, term) -> Element:
     return Element._wrap(terms)
 
 
+# each exchange sector: for index values i, j, the word its rule rewrites and,
+# for the summed values k, l, the tensor entry and the word that it multiplies
+_SECTORS = {
+    "coordinate-differential":
+        lambda i, j: ((_X[i], _DX[j]), lambda k, l: ((j, i, k, l), (_DX[k], _X[l]))),
+    "derivative-coordinate":
+        lambda i, j: ((_D[j], _X[i]), lambda k, l: ((i, k, l, j), (_X[l], _D[k]))),
+    "derivative-differential":
+        lambda i, j: ((_D[j], _DX[i]), lambda k, l: ((i, k, l, j), (_DX[l], _D[k]))),
+}
+_PARITY = dict(CALCULUS_GENERATORS)
+_UNIT = {(_D[v], _X[v]) for v in SuperIndex.values}  # d_i X^i, whose rules add delta^i_i = 1
+
+
+def _exchange_rules(t: SuperTensor, sector: str, factor: ScalarQ = ONE) -> dict:
+    """The four rules of an exchange sector of ``regenerate_calculus``, in
+    ``_indices(2)`` order: the sum over k, l of the tensor entries times their
+    words, times ``factor`` and the Koszul sign of the rule's two letters."""
+    rules = {}
+    for i, j in _indices(2):
+        lhs, term = _SECTORS[sector](i, j)
+        sign = sc((-1) ** (_PARITY[lhs[0]] * _PARITY[lhs[1]]))
+        rhs = _entry_sum(t, term).scale(factor * sign)
+        rules[lhs] = Element.scalar(1) + rhs if lhs in _UNIT else rhs
+    return rules
+
+
 def coordinate_differential_rules(t: SuperTensor, factor: ScalarQ = ONE) -> dict:
-    """Coordinate-differential exchange rules read off the tensor.
-
-    X^i dX^j = factor * (-1)^{i(j+1)} t^{ji}_{kl} dX^k X^l, with the
-    overall factor carried by the q-level matrix.
-    """
-    par = SuperIndex.parity
-    rules = {}
-    for i, j in _indices(2):
-        rhs = _entry_sum(t, lambda k, l: ((j, i, k, l), (_DX[k], _X[l])))
-        sign = (-1) ** (par(i) * (par(j) + 1))
-        rules[(_X[i], _DX[j])] = rhs.scale(factor * sc(sign))
-    return rules
+    """The coordinate-differential rules of ``t``; the q-level matrix carries
+    the overall ``factor`` q."""
+    return _exchange_rules(t, "coordinate-differential", factor)
 
 
-def _derivative_coordinate_rules(t: SuperTensor) -> dict:
-    """d_j X^i = delta^i_j + (-1)^{ij} t^{ik}_{lj} X^l d_k."""
-    par = SuperIndex.parity
-    rules = {}
-    for i, j in _indices(2):
-        rhs = Element.scalar(1) if i == j else Element.zero()
-        sign = sc((-1) ** (par(i) * par(j)))
-        terms = _entry_sum(t, lambda k, l: ((i, k, l, j), (_X[l], _D[k])))
-        rules[(_D[j], _X[i])] = rhs + terms.scale(sign)
-    return rules
-
-
-def _derivative_differential_rules(t: SuperTensor) -> dict:
-    """d_j dX^i = (-1)^{j(i+1)} (t^-1)^{ik}_{lj} dX^l d_k.
-
-    The sign exponent is j(i+1): it is the one choice for which the
-    regenerated sector agrees with the calculus catalogue.
-    """
-    inverse = t.invert()
-    par = SuperIndex.parity
-    rules = {}
-    for i, j in _indices(2):
-        sign = sc((-1) ** (par(j) * (par(i) + 1)))
-        terms = _entry_sum(inverse, lambda k, l: ((i, k, l, j), (_DX[l], _D[k])))
-        rules[(_D[j], _DX[i])] = terms.scale(sign)
-    return rules
-
-
-def _coordinate_rules(khat: SuperTensor) -> dict:
-    """X^i X^j = Khat^{ij}_{kl} X^k X^l, solved for the two plane rules."""
-    mixed = _entry_sum(khat, lambda k, l: ((1, 2, k, l), (_X[k], _X[l])))
-    if not mixed.coefficient(("x", "th")).is_zero():
-        raise InconsistentRulesError("coordinate relation does not determine x*th")
-    rules = {("x", "th"): mixed}
-    # the odd diagonal case is implicit: move the th*th term across and
-    # reduce the rest with the x*th rule just obtained
-    diagonal = _entry_sum(khat, lambda k, l: ((2, 2, k, l), (_X[k], _X[l])))
-    self_coeff = diagonal.coefficient(("th", "th"))
-    denom = ONE - self_coeff
-    if denom.is_zero():
-        raise InconsistentRulesError("coordinate relation does not determine th*th")
-    remaining = diagonal - Element.word(("th", "th"), self_coeff)
-    partial = Presentation(
-        "plane-partial",
-        CALCULUS_GENERATORS,
-        [(("x", "th"), mixed)],
-        derivatives=CALCULUS_DERIVATIVES,
-    )
-    rules[("th", "th")] = partial.normal_form(remaining).scale(ONE / denom)
-    return rules
-
-
-def _derivative_rules(khat: SuperTensor) -> dict:
-    """d_i d_j = Khat^{kl}_{ji} d_l d_k, solved for the two derivative rules."""
-    diagonal = _entry_sum(khat, lambda k, l: ((k, l, 2, 2), (_D[l], _D[k])))
-    self_coeff = diagonal.coefficient(("pth", "pth"))
-    denom = ONE - self_coeff
-    if denom.is_zero():
-        raise InconsistentRulesError("derivative relation does not determine pth^2")
-    rules = {
-        ("pth", "pth"): (diagonal - Element.word(("pth", "pth"), self_coeff)).scale(
-            ONE / denom
+def _solve(relation: Element, target: tuple, given: dict) -> Element:
+    """The rule for the word ``target`` from ``relation`` = 0, that is
+    (c*target - relation)/c with c the coefficient of ``target``, reduced by
+    the rules already solved (``given``) when there are any."""
+    c = relation.coefficient(target)
+    if c.is_zero():
+        raise InconsistentRulesError(f"braid relation does not determine {'*'.join(target)}")
+    rhs = Element.word(target, c) - relation
+    if given:
+        partial = Presentation(
+            "calculus-partial",
+            CALCULUS_GENERATORS,
+            list(given.items()),
+            derivatives=CALCULUS_DERIVATIVES,
         )
-    }
-    mixed = _entry_sum(khat, lambda k, l: ((k, l, 2, 1), (_D[l], _D[k])))
-    swap_coeff = mixed.coefficient(("pth", "px"))
-    if swap_coeff.is_zero():
-        raise InconsistentRulesError("derivative relation does not determine pth*px")
-    residue = word("px", "pth") - (mixed - Element.word(("pth", "px"), swap_coeff))
-    partial = Presentation(
-        "derivative-partial",
-        CALCULUS_GENERATORS,
-        [(("pth", "pth"), rules[("pth", "pth")])],
-        derivatives=CALCULUS_DERIVATIVES,
-    )
-    rules[("pth", "px")] = partial.normal_form(residue).scale(ONE / swap_coeff)
-    return rules
+        rhs = partial.normal_form(rhs)
+    return rhs.scale(ONE / c)
 
 
 def regenerate_calculus(t: SuperTensor) -> Presentation:
     """Rebuild the calculus rules from the K-matrix alone.
 
-    The coordinate-differential, derivative-coordinate and
-    derivative-differential sectors come from the exchange formulas; the
-    coordinate-coordinate and derivative-derivative sectors come from the
-    braid form t P.  The dual-plane rules are not produced by the
-    K-matrix and are left to the Koszul defaults.  A regenerated rule that
-    mixes parities is rejected by ``Presentation`` (RuleError).
+    The braid form khat = t P gives the coordinate and derivative relations
+
+        X^i X^j = khat^{ij}_{kl} X^k X^l,      d_i d_j = khat^{kl}_{ji} d_l d_k,
+
+    solved for x*th (which must not appear on the right), th*th, pth^2 and
+    pth*px.  The three exchange sectors read t, with s the Koszul sign of
+    the two letters on the left:
+
+        X^i dX^j = s t^{ji}_{kl} dX^k X^l
+        d_j X^i  = delta^i_j + s t^{ik}_{lj} X^l d_k
+        d_j dX^i = s (t^-1)^{ik}_{lj} dX^l d_k
+
+    The dual-plane rules are not produced by the K-matrix and are left to
+    the Koszul defaults.  A regenerated rule that mixes parities is
+    rejected by ``Presentation`` (RuleError).
     """
     if t.rank != 4:
         raise RankMismatchError(f"regeneration needs a rank-4 tensor, got {t.rank}")
     khat = t * build_P()
-    rules = {}
-    rules.update(_coordinate_rules(khat))
+
+    def coordinates(i, j):
+        terms = _entry_sum(khat, lambda k, l: ((i, j, k, l), (_X[k], _X[l])))
+        return word(_X[i], _X[j]) - terms
+
+    def derivatives(i, j):
+        terms = _entry_sum(khat, lambda k, l: ((k, l, j, i), (_D[l], _D[k])))
+        return word(_D[i], _D[j]) - terms
+
+    plane = coordinates(1, 2)
+    if plane.coefficient(("x", "th")) != ONE:
+        raise InconsistentRulesError("coordinate relation does not determine x*th")
+    rules = {("x", "th"): _solve(plane, ("x", "th"), {})}
+    rules[("th", "th")] = _solve(coordinates(2, 2), ("th", "th"), rules)
     rules.update(coordinate_differential_rules(t))
-    rules.update(_derivative_coordinate_rules(t))
-    rules.update(_derivative_differential_rules(t))
-    rules.update(_derivative_rules(khat))
+    rules.update(_exchange_rules(t, "derivative-coordinate"))
+    rules.update(_exchange_rules(t.invert(), "derivative-differential"))
+    square = {("pth", "pth"): _solve(derivatives(2, 2), ("pth", "pth"), {})}
+    rules.update(square)
+    rules[("pth", "px")] = _solve(derivatives(1, 2), ("pth", "px"), square)
     return Presentation(
         "regenerated-calculus",
         CALCULUS_GENERATORS,

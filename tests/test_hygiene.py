@@ -15,8 +15,9 @@
 * Every engine name that ``perfbench/tracing.py`` wraps in a span (its
   ``SPANS`` table and the suite functions of ``SUITE_FUNCTIONS``) still
   exists, so a rename cannot silently drop a traced metric.
-* Each bound that README "Rewriting" prints beside its name is the value of
-  that constant in the code.
+* Each bound of ``src/``, a module- or class-level constant named
+  ``*_CAP`` or ``*_MAX_STEPS``, is printed in README "Rewriting" beside its
+  name, with the value it has in the code.
 * One function, ``scalar.make_room``, compares a length with a cap, and
   every other use of a ``*_CAP`` constant passes it to ``make_room`` or to
   ``functools.lru_cache``: each bounded memo follows the one rule.
@@ -154,13 +155,30 @@ def test_traced_names_exist():
     assert missing == []
 
 
-BOUNDS = {
-    "DEFAULT_MAX_STEPS": ("algebra", "Presentation"),
-    "DSQUARED_SEED_CAP": ("differential", None),
-    "PRODUCT_TABLE_CAP": ("algebra", "Presentation"),
-    "WORD_MEMO_CAP": ("algebra", None),
-    "SCALAR_TABLE_CAP": ("scalar", None),
-}
+def _bounds() -> dict:
+    """Each bound of src/: a module- or class-level assignment to a name
+    ending in _CAP or _MAX_STEPS, as name -> (module, class or None)."""
+    bounds = {}
+    for path in MODULES:
+        tree = _tree(path)
+        scopes = [(tree, None)]
+        scopes += [(node, node.name) for node in tree.body if isinstance(node, ast.ClassDef)]
+        for scope, owner in scopes:
+            for node in scope.body:
+                if isinstance(node, ast.Assign):
+                    targets = node.targets
+                elif isinstance(node, ast.AnnAssign):
+                    targets = [node.target]
+                else:
+                    continue
+                for target in targets:
+                    name = getattr(target, "id", "")
+                    if name.endswith(("_CAP", "_MAX_STEPS")):
+                        bounds[name] = (path.stem, owner)
+    return bounds
+
+
+BOUNDS = _bounds()
 
 
 @pytest.mark.parametrize("name", sorted(BOUNDS))

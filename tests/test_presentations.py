@@ -417,6 +417,19 @@ def test_mixed_rules_are_not_star_invariant():
         assert all("h" in w for w in residual.words())
 
 
+def test_star_images_are_normal():
+    # involution_check reads each image as the star returns it: a sum of
+    # products taken by multiply, which are normal
+    hc = get_presentation("h-calculus")
+    star = build_star()
+    images = {lhs: star(Element.word(lhs) - rhs) for lhs, rhs in hc.rules.items()}
+    assert set(presentations._STAR_INVARIANT_PAIRS) < set(images)
+    assert len(presentations._STAR_INVARIANT_PAIRS) == 10
+    assert any(not image.is_zero() for image in images.values())
+    for image in images.values():
+        assert hc.is_normal(image)
+
+
 def star_antilinearity_failures(star) -> list:
     """The generators g for which star(i*g) is not -i*star(g)."""
     hc = get_presentation("h-calculus")

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsuperplane.algebra import AlgebraError, Element, gen, word
-from hsuperplane.presentations import get_presentation
+from hsuperplane.algebra import AlgebraError, Element, Presentation, gen, word
+from hsuperplane.presentations import CALCULUS_DERIVATIVES, CALCULUS_GENERATORS, get_presentation
 from hsuperplane.rmatrix import (
     InconsistentRulesError,
     RankMismatchError,
@@ -18,8 +18,13 @@ from hsuperplane.rmatrix import (
     SuperMatrix,
     SuperTensor,
     TENSOR_BUILDERS,
+    _D,
+    _DX,
+    _X,
     _embedded,
+    _entry_sum,
     _free_product,
+    _indices,
     build_K_h,
     build_K_hq,
     build_Khat_h,
@@ -446,3 +451,141 @@ def test_embedded_matches_the_per_index_loop(n, active, graded):
             expected = per_index_embedded(entries, n, active, graded)
             assert got == expected
             assert list(got) == list(expected)
+
+
+# -- regeneration against one builder per sector ------------------------------------
+
+
+def sector_coordinate_differential_rules(t, factor=ONE):
+    """X^i dX^j = factor * (-1)^{i(j+1)} t^{ji}_{kl} dX^k X^l."""
+    par = SuperIndex.parity
+    rules = {}
+    for i, j in _indices(2):
+        rhs = _entry_sum(t, lambda k, l: ((j, i, k, l), (_DX[k], _X[l])))
+        sign = (-1) ** (par(i) * (par(j) + 1))
+        rules[(_X[i], _DX[j])] = rhs.scale(factor * sc(sign))
+    return rules
+
+
+def sector_derivative_coordinate_rules(t):
+    """d_j X^i = delta^i_j + (-1)^{ij} t^{ik}_{lj} X^l d_k."""
+    par = SuperIndex.parity
+    rules = {}
+    for i, j in _indices(2):
+        rhs = Element.scalar(1) if i == j else Element.zero()
+        sign = sc((-1) ** (par(i) * par(j)))
+        terms = _entry_sum(t, lambda k, l: ((i, k, l, j), (_X[l], _D[k])))
+        rules[(_D[j], _X[i])] = rhs + terms.scale(sign)
+    return rules
+
+
+def sector_derivative_differential_rules(t):
+    """d_j dX^i = (-1)^{j(i+1)} (t^-1)^{ik}_{lj} dX^l d_k."""
+    inverse = t.invert()
+    par = SuperIndex.parity
+    rules = {}
+    for i, j in _indices(2):
+        sign = sc((-1) ** (par(j) * (par(i) + 1)))
+        terms = _entry_sum(inverse, lambda k, l: ((i, k, l, j), (_DX[l], _D[k])))
+        rules[(_D[j], _DX[i])] = terms.scale(sign)
+    return rules
+
+
+def sector_coordinate_rules(khat):
+    """X^i X^j = Khat^{ij}_{kl} X^k X^l, solved for the two plane rules."""
+    mixed = _entry_sum(khat, lambda k, l: ((1, 2, k, l), (_X[k], _X[l])))
+    if not mixed.coefficient(("x", "th")).is_zero():
+        raise InconsistentRulesError("coordinate relation does not determine x*th")
+    rules = {("x", "th"): mixed}
+    diagonal = _entry_sum(khat, lambda k, l: ((2, 2, k, l), (_X[k], _X[l])))
+    self_coeff = diagonal.coefficient(("th", "th"))
+    denom = ONE - self_coeff
+    if denom.is_zero():
+        raise InconsistentRulesError("coordinate relation does not determine th*th")
+    remaining = diagonal - Element.word(("th", "th"), self_coeff)
+    partial = Presentation(
+        "plane-partial",
+        CALCULUS_GENERATORS,
+        [(("x", "th"), mixed)],
+        derivatives=CALCULUS_DERIVATIVES,
+    )
+    rules[("th", "th")] = partial.normal_form(remaining).scale(ONE / denom)
+    return rules
+
+
+def sector_derivative_rules(khat):
+    """d_i d_j = Khat^{kl}_{ji} d_l d_k, solved for the two derivative rules."""
+    diagonal = _entry_sum(khat, lambda k, l: ((k, l, 2, 2), (_D[l], _D[k])))
+    self_coeff = diagonal.coefficient(("pth", "pth"))
+    denom = ONE - self_coeff
+    if denom.is_zero():
+        raise InconsistentRulesError("derivative relation does not determine pth^2")
+    rules = {
+        ("pth", "pth"): (diagonal - Element.word(("pth", "pth"), self_coeff)).scale(
+            ONE / denom
+        )
+    }
+    mixed = _entry_sum(khat, lambda k, l: ((k, l, 2, 1), (_D[l], _D[k])))
+    swap_coeff = mixed.coefficient(("pth", "px"))
+    if swap_coeff.is_zero():
+        raise InconsistentRulesError("derivative relation does not determine pth*px")
+    residue = word("px", "pth") - (mixed - Element.word(("pth", "px"), swap_coeff))
+    partial = Presentation(
+        "derivative-partial",
+        CALCULUS_GENERATORS,
+        [(("pth", "pth"), rules[("pth", "pth")])],
+        derivatives=CALCULUS_DERIVATIVES,
+    )
+    rules[("pth", "px")] = partial.normal_form(residue).scale(ONE / swap_coeff)
+    return rules
+
+
+def sector_regeneration(t):
+    """The calculus rebuilt by one builder per sector, in the rule order of
+    ``regenerate_calculus``."""
+    khat = t * build_P()
+    rules = {}
+    rules.update(sector_coordinate_rules(khat))
+    rules.update(sector_coordinate_differential_rules(t))
+    rules.update(sector_derivative_coordinate_rules(t))
+    rules.update(sector_derivative_differential_rules(t))
+    rules.update(sector_derivative_rules(khat))
+    return Presentation(
+        "regenerated-calculus",
+        CALCULUS_GENERATORS,
+        list(rules.items()),
+        derivatives=CALCULUS_DERIVATIVES,
+    )
+
+
+def perturbed_k_h(seed):
+    """Kh with 1-3 entries set to an integer in -2..2, times h at an odd index."""
+    rng = random.Random(seed)
+    entries = dict(build_K_h().entries)
+    for _ in range(rng.randint(1, 3)):
+        idx = rng.choice(list(_indices(4)))
+        value = Element.scalar(rng.randint(-2, 2))
+        entries[idx] = value * gen("h") if sum(map(SuperIndex.parity, idx)) % 2 else value
+    return SuperTensor(h_line(), 4, entries)
+
+
+def regeneration_outcome(regenerate, t):
+    """The regenerated rules and their terms in order, or the exception class
+    and the last word of its message (the word a relation fails to fix)."""
+    try:
+        rules = regenerate(t).rules
+    except AlgebraError as error:
+        return type(error), str(error).split()[-1]
+    return [(lhs, list(rhs.items())) for lhs, rhs in rules.items()]
+
+
+def test_regeneration_matches_the_sector_builders():
+    tensors = [build_K_h(), build_K_hq()] + [perturbed_k_h(seed) for seed in range(400)]
+    kinds = set()
+    for t in tensors:
+        expected = regeneration_outcome(sector_regeneration, t)
+        assert regeneration_outcome(regenerate_calculus, t) == expected
+        kinds.add(expected[0] if isinstance(expected, tuple) else list)
+    # the perturbations reach every outcome: rules, an undetermined word and
+    # a singular scalar part
+    assert kinds == {list, InconsistentRulesError, SingularTensorError}
