@@ -53,21 +53,25 @@ def _concatenations(a: dict, b: dict, out=None) -> dict:
     return out
 
 
-def linear_extension(terms, image_of, memo: dict) -> "Element":
+def linear_extension(terms: dict, image_of, memo: dict) -> "Element":
     """The linear extension of a word function: the sum of c * image_of(w)
-    over the (word, c) pairs of ``terms``.
+    over the items (word, c) of the term dict ``terms``.
 
     ``image_of`` maps one word to an ``Element``.  Each word's image is
     computed once and kept in ``memo``, a dict from word to image that the
     caller owns and fills only through this ``image_of``; the images stay
     for as long as the memo's owner does, and a miss makes room for its
-    image under ``WORD_MEMO_CAP`` (``scalar.make_room``).
+    image under ``WORD_MEMO_CAP`` (``scalar.make_room``).  A lone word with
+    coefficient ``ONE`` that the memo holds gives back the stored image
+    itself, which is sound because an ``Element`` is immutable.
     """
     out = {}
-    for w, c in terms:
+    for w, c in terms.items():
         image = memo.get(w)
         if image is None:
             image = make_room(memo, WORD_MEMO_CAP)[w] = image_of(w)
+        elif c is ONE and len(terms) == 1:
+            return image
         for w2, c2 in image._terms.items():
             _accumulate(out, w2, c2 if c is ONE else c * c2)
     return Element._wrap(out)
@@ -197,6 +201,10 @@ class Element:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if not other._terms:
+            return self
+        if not self._terms:
+            return other
         out = dict(self._terms)
         for w, c in other._terms.items():
             _accumulate(out, w, c)
@@ -211,6 +219,8 @@ class Element:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if not other._terms:
+            return self
         out = dict(self._terms)
         for w, c in other._terms.items():
             _accumulate(out, w, -c)
@@ -233,6 +243,8 @@ class Element:
 
     def scale(self, value) -> "Element":
         value = sc(value)
+        if value is ONE:
+            return self
         if value.is_zero():
             return Element()
         return Element._wrap({w: c * value for w, c in self._terms.items()})
@@ -576,12 +588,12 @@ class Presentation:
         return False
 
     def _step_at(self, word: Word, i: int):
-        """One rewrite at position i, as a list of (word, coeff); None if inert."""
+        """One rewrite at position i, as a dict {word: coeff}; None if inert."""
         terms = self._pairs.get((word[i], word[i + 1]))
         if terms is None:
             return None
         head, tail = word[:i], word[i + 2:]
-        return [(head + rw + tail, rc) for rw, rc in terms]
+        return {head + rw + tail: rc for rw, rc in terms}
 
     def _first_reducible(self, word: Word):
         pairs = self._pairs
@@ -647,7 +659,7 @@ class Presentation:
         """
         element = as_element(element)
         if strategy == "leftmost":
-            return Element._wrap(self._normal_terms(element._terms.items(), max_steps))
+            return Element._wrap(self._normal_terms(element._terms, max_steps))
         if strategy != "rightmost":
             raise ValueError(f"unknown rewriting strategy {strategy!r}")
         budget = max_steps if max_steps is not None else self.DEFAULT_MAX_STEPS
@@ -658,19 +670,23 @@ class Presentation:
             spent = self._reduce_rightmost(start, coeff, out, spent, budget)
         return Element._wrap(out)
 
-    def _normal_terms(self, terms, max_steps=None) -> dict:
-        """The leftmost work of ``normal_form`` on (word, coefficient) pairs,
-        with no Element built: the normal form's terms as a new dict."""
-        budget = max_steps if max_steps is not None else self.DEFAULT_MAX_STEPS
+    def _normal_terms(self, terms: dict, max_steps=None) -> dict:
+        """The leftmost work of ``normal_form`` on a term dict, with no
+        Element built: the normal form's terms as a dict.  A lone word with
+        coefficient ``ONE`` that the cache holds gives back the cached dict
+        itself, so the caller must not mutate the result."""
         make_room(self._products, self.PRODUCT_TABLE_CAP)
+        budget = max_steps if max_steps is not None else self.DEFAULT_MAX_STEPS
         spent = 0
         out = {}
-        for start_word, start_coeff in terms:
+        for start_word, start_coeff in terms.items():
             result = self._nf_cache.get(start_word)
             if result is None:
                 self._check_letters(start_word)
                 result, spent = self._fold_word(start_word, spent, budget)
                 make_room(self._nf_cache, WORD_MEMO_CAP)[start_word] = result
+            elif start_coeff is ONE and len(terms) == 1:
+                return result
             for w, c in result.items():
                 _accumulate(out, w, c if start_coeff is ONE else c * start_coeff)
         return out
@@ -831,7 +847,7 @@ class Presentation:
                 _accumulate(out, w, c)
                 continue
             spent = self._spend(start, w, spent, budget)
-            for w2, c2 in self._step_at(w, i):
+            for w2, c2 in self._step_at(w, i).items():
                 stack.append((w2, c * c2))
         return spent
 
@@ -853,7 +869,7 @@ class Presentation:
         """Normal form of the product a*b: the terms of ``a * b``, cancelled
         as there, go straight to the normal-form core with no Element built."""
         terms = _concatenations(as_element(a)._terms, as_element(b)._terms)
-        return Element._wrap(self._normal_terms(terms.items()))
+        return Element._wrap(self._normal_terms(terms))
 
     def is_normal(self, element: Element) -> bool:
         for w in element.words():
@@ -879,7 +895,7 @@ class Presentation:
         if memo is None:
             memo = make_room(self._act_memo, WORD_MEMO_CAP)[operator] = {}
         return linear_extension(
-            as_element(function).items(), lambda w: self._act_on_word(operator, w), memo
+            as_element(function)._terms, lambda w: self._act_on_word(operator, w), memo
         )
 
     def _act_on_word(self, operator: Element, w: Word) -> Element:
@@ -988,9 +1004,9 @@ class AlgebraMorphism:
     _memo: dict = field(default_factory=dict, init=False, compare=False, hash=False, repr=False)
 
     def __call__(self, element) -> Element:
-        terms = as_element(element).items()
+        terms = as_element(element)._terms
         if self.conjugate_scalars:
-            terms = ((w, c.conjugate()) for w, c in terms)
+            terms = {w: c.conjugate() for w, c in terms.items()}
         return linear_extension(
             terms, lambda w: _map_word(w, self.images, self.target), self._memo
         )
@@ -1010,7 +1026,7 @@ class InvolutionSpec:
     _memo: dict = field(default_factory=dict, init=False, compare=False, hash=False, repr=False)
 
     def __call__(self, element) -> Element:
-        terms = ((w[::-1], c.conjugate()) for w, c in as_element(element).items())
+        terms = {w[::-1]: c.conjugate() for w, c in as_element(element)._terms.items()}
         return linear_extension(
             terms, lambda w: _map_word(w, self.images, self.presentation), self._memo
         )

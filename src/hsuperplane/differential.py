@@ -41,9 +41,13 @@ def _check_letters(words: Iterable, allowed: Iterable[str], what: str) -> None:
                 )
 
 
+_D_OPERATOR = word("dx", "px") + word("dth", "pth")
+
+
 def d_operator() -> Element:
-    """The derivative realized inside the algebra: dx*px + dth*pth."""
-    return word("dx", "px") + word("dth", "pth")
+    """The derivative realized inside the algebra: dx*px + dth*pth, one
+    shared element, so that ``act`` finds its memo by identity."""
+    return _D_OPERATOR
 
 
 def exterior_d(a: Element, p: Presentation) -> Element:
@@ -55,7 +59,7 @@ def exterior_d(a: Element, p: Presentation) -> Element:
     the normal form of each word's d is kept in ``p.d_memo``, where a miss
     makes room under ``algebra.WORD_MEMO_CAP``.
     """
-    return linear_extension(a.items(), lambda w: _d_of_word(w, p), p.d_memo)
+    return linear_extension(a._terms, lambda w: _d_of_word(w, p), p.d_memo)
 
 
 def _d_of_word(w: tuple, p: Presentation) -> Element:

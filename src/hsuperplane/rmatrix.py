@@ -150,7 +150,7 @@ class SuperTensor:
             )
         p = self.presentation
         product = _free_product(self.entries, other.entries, self.n)
-        entries = {idx: Element._wrap(p._normal_terms(t.items())) for idx, t in product.items()}
+        entries = {idx: Element._wrap(p._normal_terms(t._terms)) for idx, t in product.items()}
         return SuperTensor._wrap(p, self.rank, entries)
 
     def map_entries(self, f) -> "SuperTensor":
@@ -603,23 +603,13 @@ def coordinate_differential_rules(t: SuperTensor, factor: ScalarQ = ONE) -> dict
     return _exchange_rules(t, "coordinate-differential", factor)
 
 
-def _solve(relation: Element, target: tuple, given: dict) -> Element:
+def _solve(relation: Element, target: tuple) -> Element:
     """The rule for the word ``target`` from ``relation`` = 0, that is
-    (c*target - relation)/c with c the coefficient of ``target``, reduced by
-    the rules already solved (``given``) when there are any."""
+    (c*target - relation)/c with c the coefficient of ``target``."""
     c = relation.coefficient(target)
     if c.is_zero():
         raise InconsistentRulesError(f"braid relation does not determine {'*'.join(target)}")
-    rhs = Element.word(target, c) - relation
-    if given:
-        partial = Presentation(
-            "calculus-partial",
-            CALCULUS_GENERATORS,
-            list(given.items()),
-            derivatives=CALCULUS_DERIVATIVES,
-        )
-        rhs = partial.normal_form(rhs)
-    return rhs.scale(ONE / c)
+    return (Element.word(target, c) - relation).scale(ONE / c)
 
 
 def regenerate_calculus(t: SuperTensor) -> Presentation:
@@ -656,14 +646,13 @@ def regenerate_calculus(t: SuperTensor) -> Presentation:
     plane = coordinates(1, 2)
     if plane.coefficient(("x", "th")) != ONE:
         raise InconsistentRulesError("coordinate relation does not determine x*th")
-    rules = {("x", "th"): _solve(plane, ("x", "th"), {})}
-    rules[("th", "th")] = _solve(coordinates(2, 2), ("th", "th"), rules)
+    rules = {("x", "th"): _solve(plane, ("x", "th"))}
+    rules[("th", "th")] = _solve(coordinates(2, 2), ("th", "th"))
     rules.update(coordinate_differential_rules(t))
     rules.update(_exchange_rules(t, "derivative-coordinate"))
     rules.update(_exchange_rules(t.invert(), "derivative-differential"))
-    square = {("pth", "pth"): _solve(derivatives(2, 2), ("pth", "pth"), {})}
-    rules.update(square)
-    rules[("pth", "px")] = _solve(derivatives(1, 2), ("pth", "px"), square)
+    rules[("pth", "pth")] = _solve(derivatives(2, 2), ("pth", "pth"))
+    rules[("pth", "px")] = _solve(derivatives(1, 2), ("pth", "px"))
     return Presentation(
         "regenerated-calculus",
         CALCULUS_GENERATORS,

@@ -104,6 +104,18 @@ def test_element_immutable():
         e._terms = {}
 
 
+def test_identities_hand_back_the_element():
+    x = word("x", "th") + Q * word("th")
+    assert x + Element.zero() is x
+    assert Element.zero() + x is x
+    assert x + 0 is x
+    assert 0 + x is x
+    assert x - 0 is x
+    assert x - Element.zero() is x
+    assert x.scale(1) is x
+    assert x.scale(ONE) is x
+
+
 def normal_elements(p: Presentation):
     """Normal forms of sums of up to four words of ``p`` of length up to 4."""
     words = st.lists(st.sampled_from(p.generator_names()), max_size=4).map(tuple)
@@ -784,6 +796,37 @@ def test_act_keeps_one_memo_per_operator():
     assert p.act(3 * word("px"), xx) == 6 * word("x")
     assert p.act(Element.scalar(5), xx) == 5 * xx
     assert p.act(word("px"), xx) == 2 * word("x")
+
+
+def test_memo_hits_hand_back_the_stored_value(plane):
+    w = ("x", "x", "th")
+    first = plane.normal_form(Element.word(w))
+    second = plane.normal_form(Element.word(w))
+    assert second._terms is plane._nf_cache[w]
+    assert second == first == Element.word(("th", "x", "x"), qpow(2))
+    # a scaled word still gets terms of its own
+    assert plane.normal_form(Element.word(w, Q))._terms is not plane._nf_cache[w]
+    ops = Presentation(
+        "ops",
+        [("x", 0), ("px", 0)],
+        [(("px", "x"), Element.scalar(1) + word("x", "px"))],
+        derivatives=("px",),
+    )
+    first = ops.act(word("px"), word("x", "x"))
+    second = ops.act(word("px"), word("x", "x"))
+    assert second is ops.act(word("px"), word("x", "x"))
+    assert second == first == 2 * word("x")
+    images = {g.name: Element.generator(g.name) for g in plane.generators}
+    images["x"] = 2 * word("x")
+    for f in (
+        AlgebraMorphism(plane, plane, images),
+        AlgebraMorphism(plane, plane, images, conjugate_scalars=True),
+        InvolutionSpec(plane, images),
+    ):
+        first = f(word("th", "x"))
+        second = f(word("th", "x"))
+        assert second is f(word("th", "x"))
+        assert second == first
 
 
 class _HashableImages(dict):

@@ -4,8 +4,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hsuperplane import algebra, differential
+from hsuperplane import algebra, differential, presentations
 from hsuperplane.algebra import (
     AlgebraError,
     AlgebraMorphism,
@@ -28,6 +30,7 @@ from hsuperplane.differential import (
     operator_report,
     random_form,
 )
+from hsuperplane.cli import run_suite
 from hsuperplane.presentations import CATALOGUE_NAMES, build_h_calculus, get_presentation
 from hsuperplane.scalar import ONE, Q, sc
 
@@ -320,6 +323,76 @@ def test_dsquared_report_prints_the_first_failure_as_the_checks_do(monkeypatch):
     assert [entry.normal_form for entry in report.entries] == expected
     assert not any(entry.passed for entry in report.entries)
     assert not expected[0].startswith("[FAIL] d^2(1) = 0")  # not the first sample
+
+
+def test_memo_hits_of_d_and_act_hand_back_the_stored_element():
+    assert d_operator() is d_operator()
+    p = build_h_calculus()
+    for w in (("x", "th"), ("th", "dx", "x"), ()):
+        first = exterior_d(Element.word(w), p)
+        second = exterior_d(Element.word(w), p)
+        assert second is p.d_memo[w] is exterior_d(Element.word(w), p)
+        assert second == first
+        first = p.act(d_operator(), Element.word(w))
+        second = p.act(d_operator(), Element.word(w))
+        assert second is p.act(d_operator(), Element.word(w))
+        assert second == first
+
+
+def _memo_values() -> list:
+    """Each value held by the ``_nf_cache``, ``d_memo`` and ``_act_memo`` of
+    the catalogue's presentations, as (its term dict, a copy of it)."""
+    held = []
+    for p in presentations._CACHE.values():
+        dicts = list(p._nf_cache.values())
+        dicts += [image._terms for image in p.d_memo.values()]
+        dicts += [image._terms for memo in p._act_memo.values() for image in memo.values()]
+        held += [(terms, dict(terms)) for terms in dicts]
+    return held
+
+
+SHARED_STEPS = st.lists(
+    st.tuples(
+        st.sampled_from(("+", "-", "scale", "multiply", "d", "act")),
+        st.integers(0, 10**6),
+        st.integers(0, 10**6),
+        st.sampled_from((ONE, sc(-1), sc(0), Q, sc(2) - Q)),
+    ),
+    max_size=10,
+)
+
+
+def test_shared_memo_values_are_never_mutated():
+    """Memo hits hand back the stored terms: arithmetic on what they return,
+    and a second warm pass, leave every stored value as it was."""
+    run_suite("all")
+    held = _memo_values()
+    pool = [Element.zero()]
+    for w in list(HC.d_memo):
+        m = Element.word(w)
+        pool += [HC.normal_form(m), exterior_d(m, HC), HC.act(d_operator(), m)]
+    operations = {
+        "+": lambda a, b, c: a + b,
+        "-": lambda a, b, c: a - b,
+        "scale": lambda a, b, c: a.scale(c),
+        "multiply": lambda a, b, c: HC.multiply(a, b),
+        "d": lambda a, b, c: exterior_d(a, HC),
+        "act": lambda a, b, c: HC.act(d_operator(), a),
+    }
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(SHARED_STEPS)
+    def arithmetic(steps):
+        values = list(pool)
+        for op, i, j, c in steps:
+            # the right factor of a product is a memo value, so degrees stay small
+            a, b = values[i % len(values)], pool[j % len(pool)]
+            values.append(operations[op](a, b, c))
+
+    arithmetic()
+    run_suite("all")
+    assert len(held) > 1000 and len(pool) > 100
+    assert [copy for terms, copy in held if terms != copy] == []
 
 
 def test_d_and_act_agree_warm_and_fresh():

@@ -26,6 +26,10 @@
   tensors, so it cannot spread to a builder of user entries.
 * Setting ``_terms`` or ``_hash`` on an ``Element`` raises: the hash an
   element caches stays right only because the element cannot change.
+* No code in ``src/`` changes the dict held in an attribute named
+  ``_terms`` in place (item assignment, ``del``, ``pop``, ``popitem``,
+  ``update``, ``clear`` or ``setdefault``): memo hits hand back stored
+  terms, so an element's terms may be shared with a memo.
 """
 
 import ast
@@ -268,3 +272,46 @@ def test_element_slots_cannot_be_set(slot):
     with pytest.raises(AttributeError):
         setattr(element, slot, {})
     assert hash(element) == hashed and element == Element.word(("x",))
+
+
+_MUTATORS = frozenset({"pop", "popitem", "update", "clear", "setdefault"})
+
+
+def _is_terms(node: ast.AST) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "_terms"
+
+
+def _terms_mutations(tree: ast.AST) -> list:
+    """Line numbers of the in-place changes of an attribute ``_terms``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Delete)):
+            targets = node.targets if isinstance(node, (ast.Assign, ast.Delete)) else [node.target]
+            found += [t.lineno for t in targets if isinstance(t, ast.Subscript) and _is_terms(t.value)]
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in _MUTATORS
+            and _is_terms(node.func.value)
+        ):
+            found.append(node.lineno)
+    return found
+
+
+def test_terms_scan_sees_each_kind_of_mutation():
+    planted = """
+e._terms[w] = c
+pop(e._terms)
+e._terms[w] += c
+del e._terms[w]
+e._terms.pop(w)
+e._terms.update({})
+e._terms.clear()
+e._terms.setdefault(w, c)
+terms = dict(e._terms); terms[w] = c; e._terms.get(w)
+"""
+    assert _terms_mutations(ast.parse(planted)) == [2, 4, 5, 6, 7, 8, 9]
+
+
+def test_no_element_terms_are_changed_in_place():
+    assert [f"{path.name}:{line}" for path in MODULES for line in _terms_mutations(_tree(path))] == []
