@@ -973,20 +973,6 @@ class ConfluenceReport:
         return not self.failures
 
 
-def _map_word(w: Word, images: Mapping[str, Element], target: Presentation) -> Element:
-    """Normal form in ``target`` of the product image(g_1) ... image(g_n)."""
-    acc = ONE_ELEMENT
-    for g in w:
-        try:
-            image = images[g]
-        except KeyError:
-            raise UnknownGeneratorError(
-                f"no image for {g!r} in the map into {target.name}"
-            ) from None
-        acc = target.multiply(acc, image)
-    return acc
-
-
 @dataclass(frozen=True)
 class AlgebraMorphism:
     """Algebra map given by generator images, extended multiplicatively.
@@ -1002,39 +988,62 @@ class AlgebraMorphism:
     images: Mapping[str, Element]
     conjugate_scalars: bool = False
     _memo: dict = field(default_factory=dict, init=False, compare=False, hash=False, repr=False)
+    _reverses_words = False
 
     def __call__(self, element) -> Element:
         terms = as_element(element)._terms
         if self.conjugate_scalars:
             terms = {w: c.conjugate() for w, c in terms.items()}
-        return linear_extension(
-            terms, lambda w: _map_word(w, self.images, self.target), self._memo
-        )
+        return linear_extension(terms, self._image_of_word, self._memo)
+
+    def _image_of_word(self, w: Word) -> Element:
+        """Normal form in ``target`` of the product of the letters' images,
+        taken in reverse order by an anti-homomorphism."""
+        acc = ONE_ELEMENT
+        for g in (reversed(w) if self._reverses_words else w):
+            try:
+                image = self.images[g]
+            except KeyError:
+                raise UnknownGeneratorError(
+                    f"no image for {g!r} in the map into {self.target.name}"
+                ) from None
+            acc = self.target.multiply(acc, image)
+        return acc
 
 
-@dataclass(frozen=True)
-class InvolutionSpec:
-    """Antilinear anti-automorphism: conjugate scalars, reverse words.
+class InvolutionSpec(AlgebraMorphism):
+    """Antilinear anti-automorphism of a presentation: conjugate scalars,
+    reverse words.
 
     No Koszul sign is inserted on reversal: (uv)+ = v+ u+ for all parities.
-    The image of each reversed word is kept in a memo, as for
-    ``AlgebraMorphism``.
     """
 
-    presentation: Presentation
-    images: Mapping[str, Element]
-    _memo: dict = field(default_factory=dict, init=False, compare=False, hash=False, repr=False)
+    _reverses_words = True
 
-    def __call__(self, element) -> Element:
-        terms = {w[::-1]: c.conjugate() for w, c in as_element(element)._terms.items()}
-        return linear_extension(
-            terms, lambda w: _map_word(w, self.images, self.presentation), self._memo
-        )
+    def __init__(self, presentation: Presentation, images: Mapping[str, Element]):
+        super().__init__(presentation, presentation, images, conjugate_scalars=True)
+
+    # an entry of its own, which perfbench/tracing.py wraps in a span
+    __call__ = AlgebraMorphism.__call__
+
+    @property
+    def presentation(self) -> Presentation:
+        return self.source
 
     def is_involutive(self) -> bool:
         """Applying the star twice fixes every generator."""
-        for g in self.presentation.generators:
+        for g in self.source.generators:
             e = Element.generator(g.name)
-            if self(self(e)) != self.presentation.normal_form(e):
+            if self(self(e)) != self.source.normal_form(e):
                 return False
         return True
+
+
+def relation_residuals(phi: AlgebraMorphism, lhs_words: Optional[Iterable[Word]] = None):
+    """Each rule of ``phi.source``, in ``rule_list`` order or for the left
+    sides ``lhs_words`` in their order, with its residual phi(lhs - rhs), a
+    normal form that is 0 exactly when phi respects the rule."""
+    rules = phi.source.rules
+    for lhs in sorted(rules) if lhs_words is None else lhs_words:
+        rule = RewriteRule(lhs, rules[lhs])
+        yield rule, phi(Element.word(lhs) - rule.rhs)

@@ -42,6 +42,8 @@ def _check_letters(words: Iterable, allowed: Iterable[str], what: str) -> None:
 
 
 _D_OPERATOR = word("dx", "px") + word("dth", "pth")
+# built once, like _D_OPERATOR, so that ``act`` finds each one's memo by identity
+_GENERATORS = {g: gen(g) for g in ("x", "th", "px", "pth", "dx", "dth")}
 
 
 def d_operator() -> Element:
@@ -190,10 +192,10 @@ def check_operator_relations(p: Presentation) -> VerificationReport:
 
     def graded_commutator(letter: str):
         # d g - (-1)^|g| g d, less d(g) m when g is a coordinate
-        g = gen(letter)
+        g = _GENERATORS[letter]
         apply = p.act if letter in ("px", "pth") else p.multiply
         odd = p.generator(letter).parity
-        dg = gen(_D_IMAGES[letter]) if letter in _D_IMAGES else None
+        dg = _GENERATORS[_D_IMAGES[letter]] if letter in _D_IMAGES else None
 
         def residual(m: Element) -> Element:
             out = d_of(apply(g, m))

@@ -34,6 +34,7 @@ from .algebra import (
     InvolutionSpec,
     Presentation,
     gen,
+    relation_residuals,
 )
 from .expr import parse_relation, parse_rule
 from .reports import VerificationReport
@@ -581,7 +582,7 @@ def contract(p_q: Presentation, *, name: Optional[str] = None) -> Presentation:
     change of generators), then takes the q -> 1 limit coefficient-wise.
     PoleAtOne propagates if any coefficient fails to converge.
     """
-    for rule, residual in _transport_residuals(p_q, transport_morphism(p_q)):
+    for rule, residual in relation_residuals(transport_morphism(p_q)):
         if not residual.is_zero():
             raise AlgebraError(
                 f"rule {rule.lhs} is not transported correctly: residual {residual!r}"
@@ -589,14 +590,16 @@ def contract(p_q: Presentation, *, name: Optional[str] = None) -> Presentation:
     return limit_presentation(p_q, name or "h-calculus")
 
 
-def _transport_residuals(p_q: Presentation, sigma: AlgebraMorphism):
-    """Each rule of ``p_q`` in ``rule_list`` order, with its transport
-    residual sigma(lhs) - sigma(rhs): zero iff sigma carries the rule over."""
-    for rule in p_q.rule_list():
-        yield rule, sigma(Element.word(rule.lhs)) - sigma(rule.rhs)
-
-
 # -- verification suites -------------------------------------------------------
+
+
+def _add_residual(report: VerificationReport, p: Presentation, label: str, residual: Element):
+    """An entry of ``report`` for a normal form of ``p``: it passes iff 0."""
+    report.add(label, p.show(residual), residual.is_zero())
+
+
+def _rule_text(p: Presentation, rule) -> str:
+    return f"{p.show(Element.word(rule.lhs))} = {p.show(rule.rhs)}"
 
 
 def verify_presentation(
@@ -612,8 +615,7 @@ def verify_presentation(
             label, element = item
         else:
             label, element = f"relation {index + 1}", item
-        nf = p.normal_form(element)
-        report.add(label, p.show(nf), nf.is_zero())
+        _add_residual(report, p, label, p.normal_form(element))
     return report
 
 
@@ -740,12 +742,6 @@ def apply_star(element: Element) -> Element:
     return _star()(element)
 
 
-def _rule_relation(p: Presentation, lhs: tuple[str, str]) -> tuple[str, Element]:
-    """The rule of ``p`` for ``lhs`` as printed text and as lhs - rhs."""
-    rhs = p.rules[lhs]
-    return f"{p.show(Element.word(lhs))} = {p.show(rhs)}", Element.word(lhs) - rhs
-
-
 def involution_check() -> VerificationReport:
     """Check that the star is involutive and preserves the invariant sectors;
     the star is built once per process, its images on every call."""
@@ -755,10 +751,8 @@ def involution_check() -> VerificationReport:
     report.add(
         "star applied twice fixes every generator", "", star.is_involutive()
     )
-    for lhs in _STAR_INVARIANT_PAIRS:
-        text, relation = _rule_relation(p, lhs)
-        image = star(relation)
-        report.add(f"star preserves {text}", p.show(image), image.is_zero())
+    for rule, image in relation_residuals(star, _STAR_INVARIANT_PAIRS):
+        _add_residual(report, p, f"star preserves {_rule_text(p, rule)}", image)
     return report
 
 
@@ -781,18 +775,15 @@ def coaction_check() -> VerificationReport:
         ("derivatives", (("px", "x"), ("px", "th"), ("pth", "x"), ("pth", "th"))),
     )
     for sector, pairs in sectors:
-        for lhs in pairs:
-            text, relation = _rule_relation(hc, lhs)
-            residual = delta(relation)
-            label = f"{sector}: delta preserves {text}"
-            report.add(label, product.show(residual), residual.is_zero())
-    text, relation = _rule_relation(hc, ("x", "th"))
-    residual0 = control_map(relation)
+        for rule, residual in relation_residuals(delta, pairs):
+            label = f"{sector}: delta preserves {_rule_text(hc, rule)}"
+            _add_residual(report, product, label, residual)
+    [(rule, residual0)] = relation_residuals(control_map, [("x", "th")])
     control_ok = (not residual0.is_zero()) and all(
         "h" in w for w in residual0.words()
     )
     report.add(
-        f"control: undeformed group letters break {text}",
+        f"control: undeformed group letters break {_rule_text(hc, rule)}",
         control_map.target.show(residual0),
         control_ok,
         expected="nonzero residual, every term carrying h",
@@ -876,12 +867,9 @@ def contraction_report() -> VerificationReport:
     p_q = get_presentation("qh-calculus")
     sigma, contracted = _contraction_maps(p_q)
     report = VerificationReport("contraction", p_q.name)
-    for rule, residual in _transport_residuals(p_q, sigma):
-        report.add(
-            f"rule {'*'.join(rule.lhs)} transports to the h = 0 plane",
-            sigma.target.show(residual),
-            residual.is_zero(),
-        )
+    for rule, residual in relation_residuals(sigma):
+        label = f"rule {'*'.join(rule.lhs)} transports to the h = 0 plane"
+        _add_residual(report, sigma.target, label, residual)
     catalogue = get_presentation("h-calculus")
     report.add(
         "contracted generators match the h-level catalogue",

@@ -141,6 +141,12 @@ def test_verify_all_json_matches_golden_report(tmp_path, capsys):
     assert got == (DATA / "verify_all.json").read_text()
 
 
+def test_verify_all_text_matches_golden_output(capsys):
+    # data/verify_all.txt is the printed report, one line per entry
+    assert main(["verify", "all"]) == 0
+    assert capsys.readouterr().out == (DATA / "verify_all.txt").read_text()
+
+
 def test_second_verify_all_json_matches_golden_report(tmp_path, capsys):
     # the second pass reads the filled scalar tables and the built embedding maps
     for k in range(2):

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -203,6 +204,68 @@ def test_leibniz_rejects_mixed_parity_left_factor():
         check_leibniz([(gen("x") + gen("th"), gen("x"))], HC)
 
 
+# -- d descends to the quotient --------------------------------------------------
+# d is given on the free algebra by the graded Leibniz rule; it is well defined
+# on the calculus exactly when it sends each relation among its letters to 0.
+# As d also kills dx, dth and h, d^2 = [d, d]/2 is then an even derivation that
+# kills every generator, so d^2 = 0 on the whole algebra, not only on samples.
+
+
+def _failing_relations(p) -> list:
+    """The reducible pairs (a, b) of d's letters for which d(a*b - nf(a*b))
+    is not 0, out of the 13 that each calculus has."""
+    letters = differential._FORM_LETTERS
+    pairs = [(a, b) for a in letters for b in letters if p.reducible_pair(a, b)]
+    assert len(pairs) == 13
+    failing = []
+    for pair in pairs:
+        relation = Element.word(pair) - p.normal_form(Element.word(pair))
+        if not exterior_d(relation, p).is_zero():
+            failing.append(pair)
+    return failing
+
+
+@pytest.mark.parametrize("name", ["h-calculus", "qh-calculus", "q-calculus"])
+def test_d_sends_every_relation_of_its_letters_to_zero(name):
+    assert _failing_relations(get_presentation(name)) == []
+
+
+@pytest.mark.parametrize("name", ["h-calculus", "qh-calculus", "q-calculus"])
+def test_normal_words_count_as_the_undeformed_forms(name):
+    # (1+t)^3/(1-t)^2 up to t^8: the deformation keeps the size of each degree
+    counts = [0] * 9
+    for m in monomial_basis(get_presentation(name), 8):
+        counts[len(next(iter(m.words())))] += 1
+    assert counts == [1, 5, 12, 20, 28, 36, 44, 52, 60]
+
+
+def test_relation_check_of_d_fails_with_even_leibniz_signs(monkeypatch):
+    monkeypatch.setattr(differential, "_LEIBNIZ_SIGNS", (ONE, ONE))
+    assert _failing_relations(build_h_calculus()) == [
+        ("th", "h"),
+        ("th", "dth"),
+        ("th", "dx"),
+        ("th", "th"),
+        ("x", "h"),
+        ("x", "th"),
+    ]
+
+
+def test_relation_check_of_d_fails_with_a_wrong_rule_coefficient():
+    relations = [
+        "x*dth = dth*x - 2*h*dx*x" if text == "x*dth = dth*x - h*dx*x" else text
+        for text in presentations.H_CALCULUS_RELATIONS
+    ]
+    assert relations != list(presentations.H_CALCULUS_RELATIONS)
+    faulty = presentations._from_relations(
+        "h-calculus",
+        presentations.CALCULUS_GENERATORS,
+        relations,
+        derivatives=presentations.CALCULUS_DERIVATIVES,
+    )
+    assert _failing_relations(faulty) == [("x", "th")]
+
+
 # -- operator realization --------------------------------------------------------
 
 
@@ -337,6 +400,22 @@ def test_memo_hits_of_d_and_act_hand_back_the_stored_element():
         second = p.act(d_operator(), Element.word(w))
         assert second is p.act(d_operator(), Element.word(w))
         assert second == first
+
+
+def test_warm_pass_finds_act_memos_by_identity(monkeypatch):
+    # the operators of the exchange identities are built once, so each act
+    # finds its memo without comparing elements
+    run_suite("all")
+    callers = []
+    plain_eq = Element.__eq__
+
+    def counted_eq(self, other):
+        callers.append(sys._getframe(1).f_code)
+        return plain_eq(self, other)
+
+    monkeypatch.setattr(Element, "__eq__", counted_eq)
+    assert run_suite("all").passed
+    assert algebra.Presentation.act.__code__ not in callers
 
 
 def _memo_values() -> list:

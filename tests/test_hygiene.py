@@ -30,6 +30,9 @@
   ``_terms`` in place (item assignment, ``del``, ``pop``, ``popitem``,
   ``update``, ``clear`` or ``setdefault``): memo hits hand back stored
   terms, so an element's terms may be shared with a memo.
+* ``algebra.linear_extension`` has three callers: ``exterior_d``,
+  ``Presentation.act`` and ``AlgebraMorphism.__call__``, which the star
+  shares.
 """
 
 import ast
@@ -235,9 +238,9 @@ def test_one_function_bounds_every_memo():
     assert other_uses == []
 
 
-def _calling_functions(attr: str, skip_owner: str) -> set:
+def _scopes_of(matches) -> set:
     """``module.function`` (``module.Class.method``) of every place in src/
-    that loads ``attr`` from anything but the name ``skip_owner``."""
+    that holds a node for which ``matches`` is true."""
     found = set()
 
     def visit(node, scope):
@@ -245,11 +248,7 @@ def _calling_functions(attr: str, skip_owner: str) -> set:
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 visit(child, scope + [child.name])
                 continue
-            if (
-                isinstance(child, ast.Attribute)
-                and child.attr == attr
-                and _name(child.value) != skip_owner
-            ):
+            if matches(child):
                 found.add(".".join(scope))
             visit(child, scope)
 
@@ -258,10 +257,33 @@ def _calling_functions(attr: str, skip_owner: str) -> set:
     return found
 
 
+def _calling_functions(attr: str, skip_owner: str) -> set:
+    """Every place in src/ that loads ``attr`` from anything but the name
+    ``skip_owner``."""
+    return _scopes_of(
+        lambda node: isinstance(node, ast.Attribute)
+        and node.attr == attr
+        and _name(node.value) != skip_owner
+    )
+
+
 def test_trusted_tensor_constructor_has_two_callers():
     assert _calling_functions("_wrap", "Element") == {
         "rmatrix.SuperTensor.__mul__",
         "rmatrix.embed",
+    }
+
+
+def test_linear_extension_has_three_callers():
+    # d, act and the maps given on generators (the star among them) share
+    # the one extension of a word function
+    calls = _scopes_of(
+        lambda node: isinstance(node, ast.Call) and _name(node.func) == "linear_extension"
+    )
+    assert calls == {
+        "differential.exterior_d",
+        "algebra.Presentation.act",
+        "algebra.AlgebraMorphism.__call__",
     }
 
 
