@@ -225,7 +225,7 @@ def check_operator_relations(p: Presentation) -> VerificationReport:
     for label, residual_of in checks:
         failure = None
         for m in basis:
-            residual = p.normal_form(residual_of(m))
+            residual = residual_of(m)
             if not residual.is_zero():
                 failure = f"{p.show(m)} -> {p.show(residual)}"
                 break

@@ -3,15 +3,17 @@
 import json
 import os
 import re
+import select
 import subprocess
 import sys
+import threading
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from hsuperplane import differential, expr, rmatrix
-from hsuperplane.algebra import AlgebraMorphism, InvolutionSpec, Presentation
+from hsuperplane import cli, differential, expr, rmatrix
+from hsuperplane.algebra import AlgebraError, AlgebraMorphism, InvolutionSpec, Presentation
 from hsuperplane.cli import (
     SUITE_NAMES,
     UnknownSuiteError,
@@ -148,13 +150,109 @@ def test_verify_all_text_matches_golden_output(capsys):
 
 
 def test_second_verify_all_json_matches_golden_report(tmp_path, capsys):
-    # the second pass reads the filled scalar tables and the built embedding maps
+    # verify all shares its suites with a forked child, so the second pass
+    # reads filled tables only for the suites this process ran; the next test
+    # checks a pass that is warm throughout
     for k in range(2):
         target = tmp_path / f"all{k}.json"
         assert main(["verify", "all", "--json", str(target)]) == 0
         capsys.readouterr()
         got = re.sub(r'\n  "version": "[^"]*",', "", target.read_text(), count=1)
         assert got == (DATA / "verify_all.json").read_text()
+
+
+def test_second_run_suite_all_json_matches_golden_report():
+    # run_suite stays in one process: its second pass reads the scalar tables
+    # and embedding maps the first one filled
+    run_suite("all")
+    got = re.sub(r'\n  "version": "[^"]*",', "", run_suite("all").to_json(), count=1)
+    assert got == (DATA / "verify_all.json").read_text()
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_verify_all_forks_one_child_and_reaps_it(monkeypatch, capsys):
+    forks = []
+    plain_fork = os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return plain_fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    assert main(["verify", "all"]) == 0
+    assert capsys.readouterr().out == (DATA / "verify_all.txt").read_text()
+    assert forks == [1]
+    _assert_no_child_left()
+
+
+def test_verify_all_reports_a_raising_suite_as_one_process_does(monkeypatch, capsys):
+    # whichever process runs the suite, the error is raised again here
+    def broken():
+        raise AlgebraError("broken suite")
+
+    monkeypatch.setitem(cli._SUITES, "ybe", broken)
+    assert main(["verify", "all"]) == 2
+    assert capsys.readouterr() == ("", "error: broken suite\n")
+    _assert_no_child_left()
+
+
+def test_verify_all_runs_every_suite_here_when_the_child_dies(monkeypatch, capsys):
+    # the child exits 3 at the first suite it takes; this process waits at
+    # its own first suite until the child has taken one, then runs the other
+    # 11 and, once it sees the exit status, all 12 again
+    parent = os.getpid()
+    taken, taken_w = os.pipe()
+    ran = []
+
+    def dying(suite):
+        def run():
+            if os.getpid() != parent:
+                os.write(taken_w, b"x")
+                os._exit(3)
+            if not ran:
+                assert select.select([taken], [], [], 10)[0]
+            ran.append(suite)
+            return suite()
+
+        return run
+
+    for name, suite in list(cli._SUITES.items()):
+        monkeypatch.setitem(cli._SUITES, name, dying(suite))
+    try:
+        assert main(["verify", "all"]) == 0
+    finally:
+        os.close(taken)
+        os.close(taken_w)
+    assert capsys.readouterr().out == (DATA / "verify_all.txt").read_text()
+    assert len(ran) == 11 + 12
+    _assert_no_child_left()
+
+
+def test_verify_all_stays_in_one_process_without_fork(monkeypatch, capsys):
+    monkeypatch.delattr(os, "fork")
+    assert main(["verify", "all"]) == 0
+    assert capsys.readouterr().out == (DATA / "verify_all.txt").read_text()
+
+
+def test_verify_all_forks_nothing_while_a_thread_runs(monkeypatch, capsys):
+    def no_fork():
+        raise AssertionError("forked with a thread running")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert main(["verify", "all"]) == 0
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert capsys.readouterr().out == (DATA / "verify_all.txt").read_text()
 
 
 def test_verify_rejects_unknown_suite():
