@@ -19,7 +19,7 @@ The package provides:
 
 __version__ = "0.1.0"
 
-from .scalar import GaussianRational, PolyQ, ScalarQ, DivisionByZero, PoleAtOne
+from .scalar import GaussianRational, PolyQ, ScalarQ, DivisionByZero, PoleAtOne, reset
 from .algebra import (
     AlgebraError,
     AlgebraMorphism,
@@ -55,4 +55,5 @@ __all__ = [
     "UnknownGeneratorError",
     "ReportEntry",
     "VerificationReport",
+    "reset",
 ]

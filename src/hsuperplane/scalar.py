@@ -46,6 +46,7 @@ hash the first time it is hashed.
 from __future__ import annotations
 
 import itertools
+import sys
 import weakref
 from fractions import Fraction
 from typing import Union
@@ -594,6 +595,19 @@ def make_room(memo: dict, cap: int) -> dict:
     if len(memo) >= cap:
         memo.clear()
     return memo
+
+
+def reset() -> None:
+    """Empty the scalar result tables and each module-level ``functools``
+    cache of the ``hsuperplane`` modules, the catalogue among them.  Interned
+    scalars stay: equality is identity, and no serial may be reused."""
+    for table in (_PRODUCTS, _SUMS, _NEGATIONS):
+        table.clear()
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "hsuperplane":
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
 
 
 # serial-keyed result tables: (a._key, b._key) -> a*b, -> a+b for nonzero a

@@ -36,6 +36,8 @@ from hsuperplane.presentations import CATALOGUE_NAMES, build_h_calculus, get_pre
 from hsuperplane.scalar import ONE, Q, sc
 
 
+# bound at collection: after tests/conftest.py resets the engine these are
+# this module's own presentations, no longer the catalogue's
 HC = get_presentation("h-calculus")
 QH = get_presentation("qh-calculus")
 
@@ -438,7 +440,7 @@ def _memo_values() -> list:
     """Each value held by the ``_nf_cache``, ``d_memo`` and ``_act_memo`` of
     the catalogue's presentations, as (its term dict, a copy of it)."""
     held = []
-    for p in presentations._CACHE.values():
+    for p in map(get_presentation, CATALOGUE_NAMES):
         dicts = list(p._nf_cache.values())
         dicts += [image._terms for image in p.d_memo.values()]
         dicts += [image._terms for memo in p._act_memo.values() for image in memo.values()]
@@ -462,17 +464,18 @@ def test_shared_memo_values_are_never_mutated():
     and a second warm pass, leave every stored value as it was."""
     run_suite("all")
     held = _memo_values()
+    hc = get_presentation("h-calculus")
     pool = [Element.zero()]
-    for w in list(HC.d_memo):
+    for w in list(hc.d_memo):
         m = Element.word(w)
-        pool += [HC.normal_form(m), exterior_d(m, HC), HC.act(d_operator(), m)]
+        pool += [hc.normal_form(m), exterior_d(m, hc), hc.act(d_operator(), m)]
     operations = {
         "+": lambda a, b, c: a + b,
         "-": lambda a, b, c: a - b,
         "scale": lambda a, b, c: a.scale(c),
-        "multiply": lambda a, b, c: HC.multiply(a, b),
-        "d": lambda a, b, c: exterior_d(a, HC),
-        "act": lambda a, b, c: HC.act(d_operator(), a),
+        "multiply": lambda a, b, c: hc.multiply(a, b),
+        "d": lambda a, b, c: exterior_d(a, hc),
+        "act": lambda a, b, c: hc.act(d_operator(), a),
     }
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=60)

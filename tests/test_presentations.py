@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from hsuperplane import presentations
+from hsuperplane import presentations, reset
 from hsuperplane.algebra import AlgebraError, Element, Presentation, gen, word
 from hsuperplane.presentations import (
     CALCULUS_DERIVATIVES,
@@ -139,7 +139,7 @@ def test_catalogue_builds_each_entry_and_solves_once(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(presentations, "_CACHE", {})
+    reset()
     monkeypatch.setattr(
         presentations, "solve_consistency", counted("solve", solve_consistency)
     )
@@ -346,6 +346,22 @@ def test_heisenberg_report_passes():
     assert presentation.name == "h-heisenberg"
     labels = [e.label for e in report.entries]
     assert "px*x = x*px + i*(1 + h*x*pth)" in labels
+
+
+def test_warm_heisenberg_report_normalises_nothing(monkeypatch):
+    # each residual is the image of a relation under the hatted map, which
+    # hands back normal forms
+    build_heisenberg()
+    calls = []
+    plain_normal_form = Presentation.normal_form
+
+    def counted_normal_form(self, element, **options):
+        calls.append(element)
+        return plain_normal_form(self, element, **options)
+
+    monkeypatch.setattr(Presentation, "normal_form", counted_normal_form)
+    assert build_heisenberg()[1].passed
+    assert calls == []
 
 
 def test_heisenberg_presentation_has_imaginary_unit():
