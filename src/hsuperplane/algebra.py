@@ -16,7 +16,6 @@ is one dict lookup per adjacent pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -93,11 +92,40 @@ class RuleError(AlgebraError):
     """A rewrite rule violates a structural invariant."""
 
 
-@dataclass(frozen=True)
-class Generator:
-    name: str
-    parity: int
-    order_index: int
+class Record:
+    """A frozen record compared, hashed and printed by its ``_fields``, as
+    ``Name(field=value, ...)``.  Assigning an attribute raises, so a
+    subclass's ``__init__`` sets its fields through ``vars(self)``."""
+
+    _fields: tuple = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Generator(Record):
+    _fields = ("name", "parity", "order_index")
+
+    def __init__(self, name: str, parity: int, order_index: int):
+        vars(self).update(name=name, parity=parity, order_index=order_index)
 
 
 class Element:
@@ -314,12 +342,13 @@ def word(*names: str) -> Element:
     return Element.word(names)
 
 
-@dataclass(frozen=True)
-class RewriteRule:
+class RewriteRule(Record):
     """Replace the two-generator word ``lhs`` by the element ``rhs``."""
 
-    lhs: Word
-    rhs: Element
+    _fields = ("lhs", "rhs")
+
+    def __init__(self, lhs: Word, rhs: Element):
+        vars(self).update(lhs=lhs, rhs=rhs)
 
 
 def _inversions(ranks: Sequence[int]) -> int:
@@ -960,21 +989,25 @@ class Presentation:
         return f"Presentation({self.name!r}, {len(self.generators)} generators, {len(self._rules)} rules)"
 
 
-@dataclass
-class ConfluenceReport:
+class ConfluenceReport(Record):
     """Outcome of the length-3 overlap check."""
 
-    presentation: str
-    words_checked: int
-    failures: list
+    _fields = ("presentation", "words_checked", "failures")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, presentation: str, words_checked: int, failures: list):
+        self.presentation = presentation
+        self.words_checked = words_checked
+        self.failures = failures
 
     @property
     def passed(self) -> bool:
         return not self.failures
 
 
-@dataclass(frozen=True)
-class AlgebraMorphism:
+class AlgebraMorphism(Record):
     """Algebra map given by generator images, extended multiplicatively.
 
     With ``conjugate_scalars`` set, coefficients are complex-conjugated
@@ -983,12 +1016,20 @@ class AlgebraMorphism:
     must not change once the map has been called.
     """
 
-    source: Presentation
-    target: Presentation
-    images: Mapping[str, Element]
-    conjugate_scalars: bool = False
-    _memo: dict = field(default_factory=dict, init=False, compare=False, hash=False, repr=False)
+    _fields = ("source", "target", "images", "conjugate_scalars")
     _reverses_words = False
+
+    def __init__(
+        self,
+        source: Presentation,
+        target: Presentation,
+        images: Mapping[str, Element],
+        conjugate_scalars: bool = False,
+    ):
+        vars(self).update(
+            source=source, target=target, images=images, conjugate_scalars=conjugate_scalars
+        )
+        vars(self)["_memo"] = {}  # not a field: no part of equality, hash or repr
 
     def __call__(self, element) -> Element:
         terms = as_element(element)._terms

@@ -19,8 +19,7 @@ interpreter's recursion limit is an ``ExprSyntaxError``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Mapping, Optional
+from typing import List, Mapping, NamedTuple, Optional
 
 from .algebra import _MINUS_ONE, Element, Presentation, RuleError
 from .scalar import I, ONE, Q, ScalarQ
@@ -43,8 +42,7 @@ class UnknownSymbolError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # NAME, INT, OP, END
     text: str
     pos: int

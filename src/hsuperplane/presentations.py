@@ -23,7 +23,6 @@ suites (Heisenberg, oscillator, involution, coaction) returning
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .scalar import ONE, ZERO, Q, ScalarQ, qpow
@@ -33,6 +32,7 @@ from .algebra import (
     Element,
     InvolutionSpec,
     Presentation,
+    Record,
     gen,
     relation_residuals,
 )
@@ -91,21 +91,26 @@ COACTION_GENERATORS = (
 # -- consistency coefficients --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CoefficientSolution:
+class CoefficientSolution(Record):
     """The exchange coefficients of the mixed calculus relations.
 
     ``A`` scales the x--dx exchange and is not constrained by the
     consistency equations (``A_free``); the default is q^2.
     """
 
-    A: ScalarQ
-    B: ScalarQ
-    F11: ScalarQ
-    F12: ScalarQ
-    F21: ScalarQ
-    F22: ScalarQ
-    A_free: bool = True
+    _fields = ("A", "B", "F11", "F12", "F21", "F22", "A_free")
+
+    def __init__(
+        self,
+        A: ScalarQ,
+        B: ScalarQ,
+        F11: ScalarQ,
+        F12: ScalarQ,
+        F21: ScalarQ,
+        F22: ScalarQ,
+        A_free: bool = True,
+    ):
+        vars(self).update(A=A, B=B, F11=F11, F12=F12, F21=F21, F22=F22, A_free=A_free)
 
 
 CONSISTENCY_UNKNOWNS = ("B", "F11", "F12", "F21", "F22")

@@ -10,18 +10,22 @@ line-stably in CI.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Optional
+
+from .algebra import Record
 
 
-@dataclass(frozen=True)
-class ReportEntry:
-    """A single verified relation: label, residual normal form, verdict."""
+class ReportEntry(Record):
+    """A single verified relation: label, residual normal form, verdict, and
+    extra ``data`` (a new empty dict when not given)."""
 
-    label: str
-    normal_form: str
-    passed: bool
-    data: dict[str, Any] = field(default_factory=dict)
+    _fields = ("label", "normal_form", "passed", "data")
+
+    def __init__(
+        self, label: str, normal_form: str, passed: bool, data: Optional[dict[str, Any]] = None
+    ):
+        data = {} if data is None else data
+        vars(self).update(label=label, normal_form=normal_form, passed=passed, data=data)
 
     def __str__(self) -> str:
         verdict = "pass" if self.passed else "FAIL"

@@ -19,10 +19,11 @@ its indices.
 import functools
 import itertools
 import json
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .algebra import AlgebraError, Element, Presentation, _accumulate, _concatenations, gen, word
+from .algebra import (
+    AlgebraError, Element, Presentation, Record, _accumulate, _concatenations, gen, word
+)
 from .presentations import (
     CALCULUS_DERIVATIVES,
     CALCULUS_GENERATORS,
@@ -385,26 +386,18 @@ def inverse_check() -> bool:
 # -- the reflection relation on the supergroup -----------------------------------
 
 
-@dataclass(frozen=True)
-class SuperMatrix:
+class SuperMatrix(Record):
     """2x2 supermatrix: even diagonal entries, odd off-diagonal entries."""
 
-    a: Element
-    bt: Element
-    gm: Element
-    dd: Element
+    _fields = ("a", "bt", "gm", "dd")
 
-    def __post_init__(self):
+    def __init__(self, a: Element, bt: Element, gm: Element, dd: Element):
         gl = get_presentation("gl-h11")
-        for name, element, expected in (
-            ("a", self.a, 0),
-            ("bt", self.bt, 1),
-            ("gm", self.gm, 1),
-            ("dd", self.dd, 0),
-        ):
+        for name, element, expected in (("a", a, 0), ("bt", bt, 1), ("gm", gm, 1), ("dd", dd, 0)):
             # an inhomogeneous entry has parity None and is rejected too
             if not element.is_zero() and gl.parity(element) != expected:
                 raise AlgebraError(f"supermatrix entry {name} has wrong parity")
+        vars(self).update(a=a, bt=bt, gm=gm, dd=dd)
 
     def entry(self, i: int, k: int) -> Element:
         return ((self.a, self.bt), (self.gm, self.dd))[i - 1][k - 1]

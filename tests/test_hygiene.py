@@ -33,11 +33,17 @@
 * ``algebra.linear_extension`` has three callers: ``exterior_d``,
   ``Presentation.act`` and ``AlgebraMorphism.__call__``, which the star
   shares.
+* Importing ``hsuperplane.cli`` loads none of ``dataclasses``, ``inspect``,
+  ``ast``, ``dis`` and ``tokenize``, and no module in ``src/`` imports them:
+  every process that uses the engine would pay about 10 ms to load them.
 """
 
 import ast
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -337,3 +343,33 @@ terms = dict(e._terms); terms[w] = c; e._terms.get(w)
 
 def test_no_element_terms_are_changed_in_place():
     assert [f"{path.name}:{line}" for path in MODULES for line in _terms_mutations(_tree(path))] == []
+
+
+_START_UP_HEAVY = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+
+
+def test_importing_the_engine_loads_no_introspection_modules():
+    # what the bare interpreter holds before the import is left out: a site
+    # hook may preload modules
+    script = (
+        "import sys; bare = set(sys.modules); import hsuperplane.cli; "
+        "print(*sorted(set(sys.modules) - bare))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    added = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert "hsuperplane.cli" in added
+    assert [name for name in _START_UP_HEAVY if name in added] == []
+
+
+def test_no_module_imports_an_introspection_module():
+    imports = [
+        f"{path.name}:{node.lineno}"
+        for path in MODULES
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.ImportFrom) and node.module in _START_UP_HEAVY
+        or isinstance(node, ast.Import)
+        and any(alias.name.split(".")[0] in _START_UP_HEAVY for alias in node.names)
+    ]
+    assert imports == []

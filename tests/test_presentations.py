@@ -93,6 +93,20 @@ def test_perturbed_solution_leaves_residual():
     assert any(not res.is_zero() for _, res in consistency_equations(bad))
 
 
+def test_a_wrong_solution_of_the_consistency_system_is_caught(monkeypatch):
+    # a planted fault: the solver returns F11 + 1, which solve_consistency
+    # must reject by substituting back into the eight equations
+    solve = presentations.solve_linear
+
+    def off_by_one(rows, rhs):
+        b, f11, *rest = solve(rows, rhs)
+        return [b, f11 + ONE, *rest]
+
+    monkeypatch.setattr(presentations, "solve_linear", off_by_one)
+    with pytest.raises(InconsistentSystemError, match="solution violates"):
+        solve_consistency()
+
+
 def test_solve_linear_two_by_two():
     rows = [[ONE, ONE], [ONE, -ONE]]
     rhs = [Q + ONE, Q - ONE]
