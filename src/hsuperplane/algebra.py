@@ -159,6 +159,9 @@ class Element:
     def __setattr__(self, name, value):
         raise AttributeError("Element is immutable")
 
+    def __reduce__(self):
+        return Element._wrap, (dict(self._terms),)
+
     @staticmethod
     def zero() -> "Element":
         return Element()

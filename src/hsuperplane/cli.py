@@ -24,7 +24,6 @@ file that is not confluent), 2 on usage or parse errors.
 """
 
 import argparse
-import os
 import sys
 from pathlib import Path
 from typing import Optional
@@ -44,7 +43,7 @@ from .presentations import (
     overlap_text,
     solve_consistency,
 )
-from .reports import ReportEntry, VerificationReport
+from .reports import VerificationReport
 from .rmatrix import TENSOR_BUILDERS, regeneration_report, rtt_report, ybe_report
 from .differential import dsquared_report, operator_report
 from .scalar import DivisionByZero, PoleAtOne
@@ -175,76 +174,8 @@ def _cmd_normalize(args, loaded: Optional[Presentation]) -> int:
     return _print(lambda: p.show(element))
 
 
-def _run_all_forked() -> VerificationReport:
-    """``run_suite("all")``, its suites shared with one forked child.
-
-    Both processes take suite indexes, one byte at a time, from a pipe
-    loaded with all of them; the child sends its reports back as
-    ``to_dict`` dicts and exits.  Where ``os.fork`` is missing, or threads
-    are running (forking them can deadlock), and whenever a suite raises in
-    either process or the child exits non-zero or sends too little, the
-    whole pass is ``run_suite("all")`` here, so its errors are the same.
-    """
-    import json
-    import threading  # both already loaded with the engine
-
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        return run_suite("all")
-    names, suites = list(_SUITES), list(_SUITES.values())
-    # dsquared, about half of a cold pass, goes first so it never starts last
-    order = sorted(range(len(names)), key=lambda i: names[i] != "dsquared")
-    queue, queue_w = os.pipe()
-    os.write(queue_w, bytes(order))
-    os.close(queue_w)
-    results, results_w = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        code = 1
-        try:
-            os.close(results)
-            sent = [(i, suites[i]().to_dict()) for i in _taken(queue)]
-            with open(results_w, "w", encoding="utf-8") as out:
-                json.dump(sent, out)
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(results_w)
-    reports, received = {}, None
-    try:
-        for i in _taken(queue):
-            reports[i] = suites[i]()
-        with open(results, encoding="utf-8", closefd=False) as stream:
-            received = json.load(stream)
-    except Exception:
-        pass  # the pass runs again below, where the error is raised
-    finally:
-        os.close(queue)
-        os.close(results)
-        if received is None:
-            import signal
-
-            os.kill(pid, signal.SIGKILL)
-        status = os.waitpid(pid, 0)[1]
-    if received is not None and status == 0:
-        for i, sent in received:
-            reports[i] = report = VerificationReport(sent["suite"], sent["presentation"])
-            report.entries = [ReportEntry(**entry) for entry in sent["entries"]]
-    if len(reports) < len(suites):
-        return run_suite("all")
-    combined = VerificationReport("all")
-    for i in range(len(suites)):
-        combined.extend(reports[i])
-    return combined
-
-
-def _taken(queue: int):
-    """Suite indexes read one byte at a time from ``queue`` until it is empty."""
-    while index := os.read(queue, 1):
-        yield index[0]
-
-
 def _cmd_verify(args) -> int:
-    report = _run_all_forked() if args.suite == "all" else run_suite(args.suite)
+    report = run_suite(args.suite)
     print(report)
     if args.json:
         Path(args.json).write_text(report.to_json())

@@ -116,6 +116,9 @@ class GaussianRational:
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
 
+    def __reduce__(self):
+        return GaussianRational, (self.re, self.im)
+
     @staticmethod
     def _coerce(value) -> "GaussianRational":
         if isinstance(value, GaussianRational):
@@ -219,6 +222,9 @@ class PolyQ:
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyQ is immutable")
+
+    def __reduce__(self):
+        return PolyQ._canonical, (self._c,)
 
     @staticmethod
     def constant(c) -> "PolyQ":
@@ -409,6 +415,10 @@ class ScalarQ:
 
     def __setattr__(self, name, value):
         raise AttributeError("ScalarQ is immutable")
+
+    def __reduce__(self):
+        # rebuilt through the intern table, so a copy is the live scalar itself
+        return ScalarQ._canonical, (self._k, self._n, self._d)
 
     @property
     def num(self) -> PolyQ:

@@ -3,7 +3,6 @@
 import json
 import os
 import re
-import select
 import subprocess
 import sys
 import threading
@@ -150,9 +149,8 @@ def test_verify_all_text_matches_golden_output(capsys):
 
 
 def test_second_verify_all_json_matches_golden_report(tmp_path, capsys):
-    # verify all shares its suites with a forked child, so the second pass
-    # reads filled tables only for the suites this process ran; the next test
-    # checks a pass that is warm throughout
+    # verify all runs every suite in this process, so the second pass reads
+    # the scalar tables and embedding maps the first one filled
     for k in range(2):
         target = tmp_path / f"all{k}.json"
         assert main(["verify", "all", "--json", str(target)]) == 0
@@ -174,21 +172,6 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_verify_all_forks_one_child_and_reaps_it(monkeypatch, capsys):
-    forks = []
-    plain_fork = os.fork
-
-    def counted_fork():
-        forks.append(1)
-        return plain_fork()
-
-    monkeypatch.setattr(os, "fork", counted_fork)
-    assert main(["verify", "all"]) == 0
-    assert capsys.readouterr().out == (DATA / "verify_all.txt").read_text()
-    assert forks == [1]
-    _assert_no_child_left()
-
-
 def test_verify_all_reports_a_raising_suite_as_one_process_does(monkeypatch, capsys):
     # whichever process runs the suite, the error is raised again here
     def broken():
@@ -200,57 +183,28 @@ def test_verify_all_reports_a_raising_suite_as_one_process_does(monkeypatch, cap
     _assert_no_child_left()
 
 
-def test_verify_all_runs_every_suite_here_when_the_child_dies(monkeypatch, capsys):
-    # the child exits 3 at the first suite it takes; this process waits at
-    # its own first suite until the child has taken one, then runs the other
-    # 11 and, once it sees the exit status, all 12 again
-    parent = os.getpid()
-    taken, taken_w = os.pipe()
-    ran = []
-
-    def dying(suite):
-        def run():
-            if os.getpid() != parent:
-                os.write(taken_w, b"x")
-                os._exit(3)
-            if not ran:
-                assert select.select([taken], [], [], 10)[0]
-            ran.append(suite)
-            return suite()
-
-        return run
-
-    for name, suite in list(cli._SUITES.items()):
-        monkeypatch.setitem(cli._SUITES, name, dying(suite))
-    try:
-        assert main(["verify", "all"]) == 0
-    finally:
-        os.close(taken)
-        os.close(taken_w)
-    assert capsys.readouterr().out == (DATA / "verify_all.txt").read_text()
-    assert len(ran) == 11 + 12
-    _assert_no_child_left()
-
-
 def test_verify_all_stays_in_one_process_without_fork(monkeypatch, capsys):
     monkeypatch.delattr(os, "fork")
     assert main(["verify", "all"]) == 0
     assert capsys.readouterr().out == (DATA / "verify_all.txt").read_text()
 
 
-def test_verify_all_forks_nothing_while_a_thread_runs(monkeypatch, capsys):
+@pytest.mark.parametrize("threaded", [True, False], ids=["thread running", "no thread"])
+def test_verify_all_forks_nothing_while_a_thread_runs(threaded, monkeypatch, capsys):
     def no_fork():
-        raise AssertionError("forked with a thread running")
+        raise AssertionError("forked")
 
     monkeypatch.setattr(os, "fork", no_fork)
     release = threading.Event()
     thread = threading.Thread(target=release.wait)
-    thread.start()
+    if threaded:
+        thread.start()
     try:
         assert main(["verify", "all"]) == 0
     finally:
         release.set()
-        thread.join(timeout=10)
+        if threaded:
+            thread.join(timeout=10)
     assert not thread.is_alive()
     assert capsys.readouterr().out == (DATA / "verify_all.txt").read_text()
 

@@ -173,7 +173,10 @@ def test_repr_names_each_field(name):
     assert repr(cls(*args())) == f"{cls.__qualname__}({shown})"
 
 
-@pytest.mark.parametrize("name", ["Generator", "ConfluenceReport", "_Token", "ReportEntry"])
+@pytest.mark.parametrize(
+    "name",
+    ["Generator", "RewriteRule", "ConfluenceReport", "_Token", "CoefficientSolution", "ReportEntry"],
+)
 def test_copies_and_pickles_equal_the_record(name):
     cls, _, args, _ = RECORDS[name]
     record = cls(*args())

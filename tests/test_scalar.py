@@ -1,6 +1,8 @@
 """Exact scalar arithmetic: canonical form, field laws, q -> 1 limits."""
 
+import copy
 import gc
+import pickle
 import random
 import tracemalloc
 import weakref
@@ -310,6 +312,18 @@ def test_equal_scalars_are_one_object():
         assert miss is hit is expected
     scalar._PRODUCTS.clear()
     assert Q * Q is qpow(2) is ScalarQ(PolyQ([0, 0, 1]))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: Q, lambda: I, lambda: ONE / (Q - ONE), lambda: qpow(-3)],
+    ids=["q", "i", "1/(q-1)", "q^-3"],
+)
+def test_copies_and_pickles_are_the_interned_scalar(make):
+    x = make()
+    assert pickle.loads(pickle.dumps(x)) is x
+    assert copy.deepcopy(x) is x
+    assert copy.copy(x) is x
 
 
 def test_real_results_of_nonreal_or_fractional_operands_are_native():
