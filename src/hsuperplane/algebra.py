@@ -429,6 +429,7 @@ class Presentation:
         # {function word -> its action} (filled by act)
         self.d_memo = {}
         self._act_memo = {}
+        self._overlaps = None  # the critical pairs, on the first check_confluence
         for lhs, rhs in rules.items():
             self._check_lhs_shape(lhs, rhs)
         self._pairs = self._compile_pairs()
@@ -944,11 +945,15 @@ class Presentation:
 
     # -- confluence ----------------------------------------------------------
 
-    def check_confluence(self) -> "ConfluenceReport":
-        """Reduce every doubly-reducible length-3 word both ways and compare
-        the terms; only a failure wraps its two normal forms as Elements."""
-        failures = []
-        checked = 0
+    def _critical_pairs(self) -> list:
+        """Each doubly-reducible length-3 word w, in (g1, g2, g3) order, with
+        its one-step rewrites at 0 and at 1, built from the final pair table
+        on the first call.  They are kept in a plain attribute: reading
+        ``__dict__``, as ``functools.cached_property`` does, makes every later
+        attribute read of the presentation slower on CPython 3.11."""
+        if self._overlaps is not None:
+            return self._overlaps
+        overlaps = []
         names = self.generator_names()
         pairs = self._pairs
         for g1 in names:
@@ -956,15 +961,22 @@ class Presentation:
                 if (g1, g2) not in pairs:
                     continue
                 for g3 in names:
-                    if (g2, g3) not in pairs:
-                        continue
-                    checked += 1
-                    w = (g1, g2, g3)
-                    left = self._normal_terms(self._step_at(w, 0))
-                    right = self._normal_terms(self._step_at(w, 1))
-                    if left != right:
-                        failures.append((w, Element._wrap(left), Element._wrap(right)))
-        return ConfluenceReport(self.name, checked, failures)
+                    if (g2, g3) in pairs:
+                        w = (g1, g2, g3)
+                        overlaps.append((w, self._step_at(w, 0), self._step_at(w, 1)))
+        self._overlaps = overlaps
+        return overlaps
+
+    def check_confluence(self) -> "ConfluenceReport":
+        """Reduce both rewrites of every overlap word and compare the terms;
+        only a failure wraps its two normal forms as Elements."""
+        failures = []
+        overlaps = self._critical_pairs()
+        for w, step0, step1 in overlaps:
+            left, right = self._normal_terms(step0), self._normal_terms(step1)
+            if left != right:
+                failures.append((w, Element._wrap(left), Element._wrap(right)))
+        return ConfluenceReport(self.name, len(overlaps), failures)
 
     # -- comparison ------------------------------------------------------------
 

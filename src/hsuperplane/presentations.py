@@ -603,6 +603,7 @@ def _add_residual(report: VerificationReport, p: Presentation, label: str, resid
     report.add(label, p.show(residual), residual.is_zero())
 
 
+@functools.cache  # its callers pass only presentations built once per process
 def _rule_text(p: Presentation, rule) -> str:
     return f"{p.show(Element.word(rule.lhs))} = {p.show(rule.rhs)}"
 

@@ -1,5 +1,6 @@
 """Free elements, Koszul-sign rewriting, confluence, morphisms, star maps."""
 
+import itertools
 import os
 import random
 import subprocess
@@ -22,12 +23,16 @@ from hsuperplane.algebra import (
     gen,
     word,
 )
+from hsuperplane.cli import run_suite
 from hsuperplane.presentations import (
+    CALCULUS_DERIVATIVES,
+    CALCULUS_GENERATORS,
     CATALOGUE_NAMES,
     build_coaction_product,
     build_gl_h11,
     build_h_calculus,
     build_q_superplane,
+    build_qh_rules,
     get_presentation,
     set_h_to_zero,
 )
@@ -695,9 +700,9 @@ def test_confluence_passes_on_plane(plane):
     assert report.failures == []
 
 
-def test_confluence_detects_broken_system():
+def broken_system() -> Presentation:
     # two rules for overlapping squares that disagree on b*b*b
-    broken = Presentation(
+    return Presentation(
         "broken",
         [("c", 0), ("b", 0)],
         [
@@ -707,10 +712,66 @@ def test_confluence_detects_broken_system():
             (("c", "c"), Element.zero()),
         ],
     )
+
+
+def test_confluence_detects_broken_system():
+    broken = broken_system()
     report = broken.check_confluence()
     assert not report.passed
     words = [w for w, _, _ in report.failures]
     assert ("b", "b", "b") in words
+
+
+def _direct_exchange_qh() -> Presentation:
+    # the qh rules with the exchange coefficient A in place of 1/A, which
+    # breaks the px-x-dx overlap (see tests/test_presentations.py)
+    tampered = [
+        (
+            lhs,
+            Q * Q * word("dx", "px") + (Q * Q - ONE) * word("dth", "pth") - word("h", "dx", "pth")
+            if lhs == ("px", "dx")
+            else rhs,
+        )
+        for lhs, rhs in build_qh_rules().rules.items()
+    ]
+    return Presentation("qh-direct", CALCULUS_GENERATORS, tampered, derivatives=CALCULUS_DERIVATIVES)
+
+
+NON_CONFLUENT = {
+    "broken": broken_system,
+    # the non-confluent pair of tests/test_rewriting_oracle.py
+    "nc": lambda: Presentation(
+        "nc", [("u", 0), ("v", 0)], [(("v", "u"), 2 * word("u", "v")), (("v", "v"), word("u"))]
+    ),
+    "qh-direct": _direct_exchange_qh,
+}
+
+
+@pytest.mark.parametrize("name", [*CATALOGUE_NAMES, *NON_CONFLUENT])
+def test_cached_critical_pairs_stay_exact(name):
+    # the overlaps are built once, on the first check, in generator order;
+    # each check still reduces both rewrites of every overlap
+    p = NON_CONFLUENT[name]() if name in NON_CONFLUENT else get_presentation(name)
+    first = p.check_confluence()
+    words = [
+        w
+        for w in itertools.product(p.generator_names(), repeat=3)
+        if p.reducible_pair(*w[:2]) and p.reducible_pair(*w[1:])
+    ]
+    assert [w for w, _, _ in p._overlaps] == words
+    for w, step0, step1 in p._overlaps:
+        assert (step0, step1) == (p._step_at(w, 0), p._step_at(w, 1))
+    assert first.words_checked == len(words) > 0
+    assert first.passed is (name not in NON_CONFLUENT)
+    second = p.check_confluence()
+    assert second.words_checked == len(words)
+    assert second.failures == first.failures
+    overlaps = p._overlaps
+    snapshot = [(w, dict(step0), dict(step1)) for w, step0, step1 in overlaps]
+    run_suite("all")
+    run_suite("all")
+    assert p._overlaps is overlaps
+    assert overlaps == snapshot
 
 
 # -- derived presentations ---------------------------------------------------------

@@ -173,7 +173,8 @@ def _assert_no_child_left():
 
 
 def test_verify_all_reports_a_raising_suite_as_one_process_does(monkeypatch, capsys):
-    # whichever process runs the suite, the error is raised again here
+    # the suite runs in this process: its error reaches main, which reports
+    # it as for any single suite, and no child process is left
     def broken():
         raise AlgebraError("broken suite")
 
@@ -181,6 +182,10 @@ def test_verify_all_reports_a_raising_suite_as_one_process_does(monkeypatch, cap
     assert main(["verify", "all"]) == 2
     assert capsys.readouterr() == ("", "error: broken suite\n")
     _assert_no_child_left()
+
+
+# this test and the next patch os.fork: they guard against verify all
+# splitting its suites across processes again, as it once did
 
 
 def test_verify_all_stays_in_one_process_without_fork(monkeypatch, capsys):
@@ -275,6 +280,16 @@ def test_second_verify_all_rederives_no_input():
     first = run_suite("all")
     reports = []
     counts = _calls_during(lambda: reports.append(run_suite("all")), inputs)
+    assert counts == Counter()
+    assert reports[0].to_json() == first.to_json()
+
+
+def test_second_verify_all_rewrites_no_overlap():
+    # each presentation builds its critical pairs and their one-step
+    # rewrites on its first confluence check; a warm pass only normalises
+    first = run_suite("all")
+    reports = []
+    counts = _calls_during(lambda: reports.append(run_suite("all")), [Presentation._step_at])
     assert counts == Counter()
     assert reports[0].to_json() == first.to_json()
 

@@ -406,6 +406,21 @@ def test_dsquared_report_prints_the_first_failure_as_the_checks_do(monkeypatch):
     assert not expected[0].startswith("[FAIL] d^2(1) = 0")  # not the first sample
 
 
+def test_operator_relations_catch_a_wrong_derivation(monkeypatch):
+    # the wrong d above: d realized through act no longer matches it on
+    # words of 3 or more letters, and no other identity uses it
+    right = differential.exterior_d
+
+    def wrong_d(a, p):
+        longest = max((len(w) for w in a.words()), default=0)
+        return right(a, p) + (a if longest >= 3 else Element.zero())
+
+    monkeypatch.setattr(differential, "exterior_d", wrong_d)
+    report = check_operator_relations(build_h_calculus())
+    failed = [(entry.label, entry.normal_form) for entry in report.entries if not entry.passed]
+    assert failed == [("operator realization matches the derivation", "h*dth^2 -> -h*dth^2")]
+    assert len(report.entries) == 8
+
 def test_memo_hits_of_d_and_act_hand_back_the_stored_element():
     assert d_operator() is d_operator()
     p = build_h_calculus()
