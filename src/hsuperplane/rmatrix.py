@@ -22,7 +22,7 @@ import json
 from typing import Optional, Sequence
 
 from .algebra import (
-    AlgebraError, Element, Presentation, Record, _accumulate, _concatenations, gen, word
+    AlgebraError, Element, Presentation, _accumulate, _concatenations, gen, word
 )
 from .presentations import (
     CALCULUS_DERIVATIVES,
@@ -386,26 +386,11 @@ def inverse_check() -> bool:
 # -- the reflection relation on the supergroup -----------------------------------
 
 
-class SuperMatrix(Record):
-    """2x2 supermatrix: even diagonal entries, odd off-diagonal entries."""
-
-    _fields = ("a", "bt", "gm", "dd")
-
-    def __init__(self, a: Element, bt: Element, gm: Element, dd: Element):
-        gl = get_presentation("gl-h11")
-        for name, element, expected in (("a", a, 0), ("bt", bt, 1), ("gm", gm, 1), ("dd", dd, 0)):
-            # an inhomogeneous entry has parity None and is rejected too
-            if not element.is_zero() and gl.parity(element) != expected:
-                raise AlgebraError(f"supermatrix entry {name} has wrong parity")
-        vars(self).update(a=a, bt=bt, gm=gm, dd=dd)
-
-    def entry(self, i: int, k: int) -> Element:
-        return ((self.a, self.bt), (self.gm, self.dd))[i - 1][k - 1]
-
-
-def build_T() -> SuperMatrix:
-    """The generic supergroup matrix of generators."""
-    return SuperMatrix(gen("a"), gen("bt"), gen("gm"), gen("dd"))
+def build_T() -> SuperTensor:
+    """The generic supergroup matrix of generators: even diagonal entries,
+    odd off-diagonal entries."""
+    names = {(1, 1): "a", (1, 2): "bt", (2, 1): "gm", (2, 2): "dd"}
+    return SuperTensor(get_presentation("gl-h11"), 2, {i: gen(g) for i, g in names.items()})
 
 
 def _free_product(a: dict, b: dict, n: int) -> dict:
@@ -424,8 +409,9 @@ def _free_product(a: dict, b: dict, n: int) -> dict:
     return {idx: Element._wrap(terms) for idx, terms in out.items() if terms}
 
 
-def rtt_expand(t: SuperTensor, T: Optional[SuperMatrix] = None) -> list:
-    """The 16 entries of t T1 T2 - T1 T2 t as free Elements.
+def rtt_expand(t: SuperTensor, T: Optional[SuperTensor] = None) -> list:
+    """The 16 entries of t T1 T2 - T1 T2 t as free Elements, for a rank-4 t
+    and a rank-2 T (by default ``build_T()``).
 
     No relations are imposed on the matrix entries; the supergroup
     relations are exactly what makes every returned Element vanish.
@@ -434,9 +420,10 @@ def rtt_expand(t: SuperTensor, T: Optional[SuperMatrix] = None) -> list:
         raise RankMismatchError(f"reflection relation needs rank 4, got {t.rank}")
     if T is None:
         T = build_T()
-    matrix = {(i, k): T.entry(i, k) for i, k in _indices(2)}
-    t1 = _embedded(matrix, 2, (0,))
-    t2 = _embedded(matrix, 2, (1,))
+    if T.rank != 2:
+        raise RankMismatchError(f"reflection relation needs a rank-2 matrix, got {T.rank}")
+    t1 = _embedded(T.entries, 2, (0,))
+    t2 = _embedded(T.entries, 2, (1,))
     k = dict(t.entries)
     left = _free_product(_free_product(k, t1, 2), t2, 2)
     right = _free_product(_free_product(t1, t2, 2), k, 2)

@@ -423,6 +423,20 @@ def test_rejects_non_decreasing_rhs():
         Presentation("p", [("a", 0), ("b", 0)], [(("b", "b"), word("a", "a", "a"))])
 
 
+def test_rejects_an_rhs_left_unnormalised():
+    # the class normalises each right side first, so its check of normal
+    # rhs terms fires only for a normal_form that returns its input
+    class Unnormalised(Presentation):
+        def normal_form(self, element, **options):
+            return element
+
+    generators = [("a", 1), ("b", 0), ("c", 0)]
+    rules = [(("c", "b"), word("a", "a"))]
+    assert Presentation("p", generators, rules).rules[("c", "b")].is_zero()
+    with pytest.raises(RuleError, match=r"rule \('c', 'b'\): rhs term \('a', 'a'\) is not in"):
+        Unnormalised("p", generators, rules)
+
+
 def test_looping_rules_fail_construction():
     with pytest.raises(NonTerminatingError):
         # two rules feeding each other: normalising either rhs diverges

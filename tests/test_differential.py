@@ -338,6 +338,12 @@ def test_curl_verifies_on_random_forms():
             assert p.is_normal(value)
 
 
+def test_curl_checks_itself_against_the_exterior_derivative(monkeypatch):
+    monkeypatch.setattr(differential, "exterior_d", lambda element, p: Element.zero())
+    with pytest.raises(AlgebraError, match="curl does not match the two-form coefficient"):
+        curl(gen("th"), gen("x"), get_presentation("qh-calculus"))
+
+
 def test_curl_rejects_non_coordinate_input():
     with pytest.raises(UnsupportedGeneratorError):
         curl(gen("dx"), Element.zero(), QH)

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from hsuperplane import presentations, reset
-from hsuperplane.algebra import AlgebraError, Element, Presentation, gen, word
+from hsuperplane.algebra import AlgebraError, AlgebraMorphism, Element, Presentation, gen, word
 from hsuperplane.presentations import (
     CALCULUS_DERIVATIVES,
     CALCULUS_GENERATORS,
@@ -400,6 +400,55 @@ def test_oscillator_report_passes():
     for entry in report.entries:
         assert entry.data["h_degree_lhs"] <= 1
         assert entry.data["h_degree_rhs"] <= 1
+
+
+def test_warm_oscillator_report_multiplies_and_normalises_nothing(monkeypatch):
+    # each entry reads the images of one word and of a rule's right side,
+    # which the oscillator map keeps in its word memo
+    oscillator_check()
+    calls = []
+    plain_normal_form, plain_mul = Presentation.normal_form, Element.__mul__
+
+    def counted_normal_form(self, element, **options):
+        calls.append("normal_form")
+        return plain_normal_form(self, element, **options)
+
+    def counted_mul(self, other):
+        calls.append("mul")
+        return plain_mul(self, other)
+
+    monkeypatch.setattr(Presentation, "normal_form", counted_normal_form)
+    monkeypatch.setattr(Element, "__mul__", counted_mul)
+    assert oscillator_check().passed
+    assert calls == []
+
+
+def _pair_residuals(phi) -> dict:
+    """Each reducible pair (a, b) of ``phi.source`` -> phi(a*b - its terms)."""
+    residuals = {}
+    for pair, terms in phi.source._pairs.items():
+        rewritten = sum((Element.word(w, c) for w, c in terms), Element.zero())
+        residuals[pair] = phi(Element.word(pair) - rewritten)
+    return residuals
+
+
+def test_realization_maps_descend_over_the_whole_pair_table():
+    # the suites check 5 and 8 of these entries; a map is well defined only
+    # if every rule, odd square and Koszul swap of its source maps to 0
+    for phi, size in ((presentations._oscillator_map(), 8), (presentations._hatted(), 13)):
+        residuals = _pair_residuals(phi)
+        assert len(residuals) == size
+        assert all(r.is_zero() for r in residuals.values()), phi.source.name
+
+
+@pytest.mark.parametrize(
+    "build, generator, image", [("_oscillator_map", "bd", "th"), ("_hatted", "th", "th")]
+)
+def test_a_wrong_image_breaks_descent(build, generator, image):
+    phi = getattr(presentations, build)()
+    images = {**phi.images, generator: phi.target.parse(image)}
+    planted = _pair_residuals(AlgebraMorphism(phi.source, phi.target, images))
+    assert any(not r.is_zero() for r in planted.values())
 
 
 def test_oscillator_cross_relations_hold_in_the_calculus():

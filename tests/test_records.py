@@ -1,7 +1,6 @@
 """The engine's record types: ``Generator``, ``RewriteRule``,
 ``ConfluenceReport``, ``AlgebraMorphism`` (and the ``InvolutionSpec`` built
-on it), the parser's ``_Token``, ``CoefficientSolution``, ``ReportEntry`` and
-``SuperMatrix``.
+on it), the parser's ``_Token``, ``CoefficientSolution`` and ``ReportEntry``.
 
 Each is built by position or by keyword with the same defaults, keeps its
 fields under their names, rejects assignment to a field unless it is the
@@ -22,10 +21,9 @@ from hsuperplane import (
     ReportEntry,
     RewriteRule,
 )
-from hsuperplane.algebra import Element, gen, word
+from hsuperplane.algebra import Element, word
 from hsuperplane.expr import _Token
 from hsuperplane.presentations import CoefficientSolution, get_presentation
-from hsuperplane.rmatrix import SuperMatrix
 from hsuperplane.scalar import ONE, Q, ZERO
 
 
@@ -72,20 +70,12 @@ RECORDS = {
         lambda: ("d(x*th)", "0", True),
         {"data": {}},
     ),
-    "SuperMatrix": (
-        SuperMatrix,
-        ("a", "bt", "gm", "dd"),
-        lambda: (gen("a"), gen("bt"), gen("gm"), gen("dd")),
-        {},
-    ),
 }
-# a value for any field that differs from each field's value above and that a
-# supermatrix accepts as an entry
+# a value for any field that differs from each field's value above
 _OTHER = dict.fromkeys(RECORDS, "other")
-_OTHER["SuperMatrix"] = Element.zero()
 FROZEN = sorted(set(RECORDS) - {"ConfluenceReport"})
 PUBLIC = sorted(set(RECORDS) - {"_Token"})
-HASHABLE = ["Generator", "RewriteRule", "_Token", "CoefficientSolution", "SuperMatrix"]
+HASHABLE = ["Generator", "RewriteRule", "_Token", "CoefficientSolution"]
 
 
 def _values(name):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hsuperplane import rmatrix
 from hsuperplane.algebra import AlgebraError, Element, Presentation, gen, word
 from hsuperplane.presentations import CALCULUS_DERIVATIVES, CALCULUS_GENERATORS, get_presentation
 from hsuperplane.rmatrix import (
@@ -15,7 +16,6 @@ from hsuperplane.rmatrix import (
     RankMismatchError,
     SingularTensorError,
     SuperIndex,
-    SuperMatrix,
     SuperTensor,
     TENSOR_BUILDERS,
     _D,
@@ -227,6 +227,21 @@ def test_invert_rejects_singular_scalar_part():
         SuperTensor(h_line(), 4, entries).invert()
 
 
+def test_invert_rejects_an_entry_beyond_first_order_in_h():
+    with pytest.raises(AlgebraError, match=r"entry at \(1, 1\) is not of the form c \+ c'\*h"):
+        build_T().invert()
+
+
+def test_invert_checks_its_own_result(monkeypatch):
+    # a wrong inverse of the scalar part must not pass as the inverse
+    def identity(m):
+        return [[ONE if r == c else ZERO for c in range(len(m))] for r in range(len(m))]
+
+    monkeypatch.setattr(rmatrix, "_invert_scalar_matrix", identity)
+    with pytest.raises(SingularTensorError, match="inverse verification failed"):
+        build_K_hq().invert()
+
+
 def test_tensor_builders_return_fresh_tensors():
     assert ybe_report().passed  # the suites' own tensors are built by now
     for build in (build_P, build_K_hq, build_K_h, build_Khat_h, build_R_h):
@@ -269,12 +284,13 @@ def test_ybe_report_passes():
 
 def test_supermatrix_entries_and_parity():
     t = build_T()
-    assert t.entry(1, 1) == gen("a")
-    assert t.entry(1, 2) == gen("bt")
-    assert t.entry(2, 1) == gen("gm")
-    assert t.entry(2, 2) == gen("dd")
+    assert t.entry((1, 1)) == gen("a")
+    assert t.entry((1, 2)) == gen("bt")
+    assert t.entry((2, 1)) == gen("gm")
+    assert t.entry((2, 2)) == gen("dd")
+    wrong = {(1, 1): gen("bt"), (1, 2): gen("bt"), (2, 1): gen("gm"), (2, 2): gen("dd")}
     with pytest.raises(AlgebraError):
-        SuperMatrix(gen("bt"), gen("bt"), gen("gm"), gen("dd"))
+        SuperTensor(get_presentation("gl-h11"), 2, wrong)
 
 
 def test_rtt_entries_are_free_and_vanish_in_the_supergroup():
@@ -306,6 +322,12 @@ def test_rtt_report_recovers_every_supergroup_relation():
 def test_rtt_requires_rank_four():
     with pytest.raises(RankMismatchError):
         rtt_expand(SuperTensor.identity(h_line(), 6))
+
+
+def test_rtt_requires_a_rank_two_matrix():
+    gl = get_presentation("gl-h11")
+    with pytest.raises(RankMismatchError, match="rank-2 matrix, got 4"):
+        rtt_expand(build_Khat_h(), SuperTensor.identity(gl, 4))
 
 
 # -- regeneration of the calculus ------------------------------------------------
