@@ -703,22 +703,24 @@ class Presentation:
             spent = self._reduce_rightmost(start, coeff, out, spent, budget)
         return Element._wrap(out)
 
-    def _normal_terms(self, terms: dict, max_steps=None) -> dict:
+    def _normal_terms(self, terms: dict, max_steps=None, out=None) -> dict:
         """The leftmost work of ``normal_form`` on a term dict, with no
-        Element built: the normal form's terms as a dict.  A lone word with
+        Element built: the normal form's terms added to ``out`` (a new dict
+        by default), which is returned.  With no ``out``, a lone word with
         coefficient ``ONE`` that the cache holds gives back the cached dict
         itself, so the caller must not mutate the result."""
         make_room(self._products, self.PRODUCT_TABLE_CAP)
         budget = max_steps if max_steps is not None else self.DEFAULT_MAX_STEPS
         spent = 0
-        out = {}
+        lone = out is None and len(terms) == 1
+        out = {} if out is None else out
         for start_word, start_coeff in terms.items():
             result = self._nf_cache.get(start_word)
             if result is None:
                 self._check_letters(start_word)
                 result, spent = self._fold_word(start_word, spent, budget)
                 make_room(self._nf_cache, WORD_MEMO_CAP)[start_word] = result
-            elif start_coeff is ONE and len(terms) == 1:
+            elif start_coeff is ONE and lone:
                 return result
             for w, c in result.items():
                 _accumulate(out, w, c if start_coeff is ONE else c * start_coeff)
@@ -898,11 +900,32 @@ class Presentation:
             f"current word of length {len(word)}, {spent} work units spent"
         )
 
+    def _add_products(self, out: dict, products) -> dict:
+        """Add to ``out``, and return it, the normal form of the sum of
+        sign*a*b over the (a, b, sign) triples of ``products``, whose a and b
+        are term dicts.  A concatenated word that the cache holds is read from
+        it; the others are summed first, so that they cancel as in the free
+        sum, and what is left goes through one ``_normal_terms`` call."""
+        cache = self._nf_cache
+        rest = {}
+        for a, b, sign in products:
+            for w1, c1 in a.items():
+                c1 = sign * c1
+                for w2, c2 in b.items():
+                    w, c = w1 + w2, c1 * c2
+                    result = cache.get(w)
+                    if result is None:
+                        _accumulate(rest, w, c)
+                    else:
+                        for v, cv in result.items():
+                            _accumulate(out, v, cv if c is ONE else c * cv)
+        return self._normal_terms(rest, out=out) if rest else out
+
     def multiply(self, a, b) -> Element:
-        """Normal form of the product a*b: the terms of ``a * b``, cancelled
-        as there, go straight to the normal-form core with no Element built."""
-        terms = _concatenations(as_element(a)._terms, as_element(b)._terms)
-        return Element._wrap(self._normal_terms(terms))
+        """Normal form of the product a*b, with no Element built for ``a * b``
+        (see ``_add_products``)."""
+        product = (as_element(a)._terms, as_element(b)._terms, ONE)
+        return Element._wrap(self._add_products({}, [product]))
 
     def is_normal(self, element: Element) -> bool:
         for w in element.words():

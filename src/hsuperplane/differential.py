@@ -25,8 +25,9 @@ class UnsupportedGeneratorError(AlgebraError):
 _D_IMAGES = {"x": "dx", "th": "dth"}
 _D_CONSTANTS = ("dx", "dth", "h")
 _D_LETTERS = frozenset(_D_IMAGES) | frozenset(_D_CONSTANTS)
+_MINUS_ONE = sc(-1)
 # Leibniz signs by prefix parity
-_LEIBNIZ_SIGNS = (ONE, sc(-1))
+_LEIBNIZ_SIGNS = (ONE, _MINUS_ONE)
 _FORM_LETTERS = ("h", "dth", "dx", "th", "x")
 _COORDINATE_LETTERS = ("h", "th", "x")
 
@@ -137,13 +138,15 @@ def _leibniz_residuals(pairs: Iterable[Tuple[Element, Element]], p: Presentation
         parity = p.parity(f)  # None for 0, which any sign serves
         if parity is None and not f.is_zero():
             raise AlgebraError("left factor must be parity-homogeneous")
-        sign = sc(-1 if parity else 1)
-        residual = (
-            exterior_d(p.multiply(f, g), p)
-            - p.multiply(exterior_d(f, p), g)
-            - p.multiply(f, exterior_d(g, p)).scale(sign)
+        # d(f*g) - d(f)*g - (-1)^|f| f*d(g), in one dict
+        residual = p._add_products(
+            dict(exterior_d(p.multiply(f, g), p)._terms),
+            [
+                (exterior_d(f, p)._terms, g._terms, _MINUS_ONE),
+                (f._terms, exterior_d(g, p)._terms, ONE if parity else _MINUS_ONE),
+            ],
         )
-        yield "Leibniz on ({}, {})", (f, g), residual
+        yield "Leibniz on ({}, {})", (f, g), Element._wrap(residual)
 
 
 def _entry(template: str, elements: tuple, residual: Element, p: Presentation) -> ReportEntry:
@@ -191,16 +194,23 @@ def check_operator_relations(p: Presentation) -> VerificationReport:
         return p.act(d, m)
 
     def graded_commutator(letter: str):
-        # d g - (-1)^|g| g d, less d(g) m when g is a coordinate
+        # d g - (-1)^|g| g d, less d(g) m when g is a coordinate, in one dict
         g = _GENERATORS[letter]
-        apply = p.act if letter in ("px", "pth") else p.multiply
-        odd = p.generator(letter).parity
+        acts = letter in ("px", "pth")
+        sign = ONE if p.generator(letter).parity else _MINUS_ONE
         dg = _GENERATORS[_D_IMAGES[letter]] if letter in _D_IMAGES else None
 
         def residual(m: Element) -> Element:
-            out = d_of(apply(g, m))
-            out = out + apply(g, d_of(m)) if odd else out - apply(g, d_of(m))
-            return out if dg is None else out - p.multiply(dg, m)
+            if acts:
+                out = dict(d_of(p.act(g, m))._terms)
+                for w, c in p.act(g, d_of(m))._terms.items():
+                    _accumulate(out, w, sign * c)
+                return Element._wrap(out)
+            products = [(g._terms, d_of(m)._terms, sign)]
+            if dg is not None:
+                products.append((dg._terms, m._terms, _MINUS_ONE))
+            out = dict(d_of(p.multiply(g, m))._terms)
+            return Element._wrap(p._add_products(out, products))
 
         return residual
 

@@ -149,9 +149,11 @@ class SuperTensor:
             raise RankMismatchError(
                 f"cannot multiply rank {self.rank} by rank {other.rank}"
             )
+        products = {}
+        for idx, left, right in _matching_entries(self.entries, other.entries, self.n):
+            products.setdefault(idx, []).append((left._terms, right._terms, ONE))
         p = self.presentation
-        product = _free_product(self.entries, other.entries, self.n)
-        entries = {idx: Element._wrap(p._normal_terms(t._terms)) for idx, t in product.items()}
+        entries = {idx: Element._wrap(p._add_products({}, t)) for idx, t in products.items()}
         return SuperTensor._wrap(p, self.rank, entries)
 
     def map_entries(self, f) -> "SuperTensor":
@@ -393,8 +395,9 @@ def build_T() -> SuperTensor:
     return SuperTensor(get_presentation("gl-h11"), 2, {i: gen(g) for i, g in names.items()})
 
 
-def _free_product(a: dict, b: dict, n: int) -> dict:
-    """Matrix product of rank-2n entry maps in the free algebra (no rewriting).
+def _matching_entries(a: dict, b: dict, n: int):
+    """Each (product index, left entry, right entry) of the matrix product of
+    the rank-2n entry maps ``a`` and ``b``.
 
     Sparse: ``b`` is indexed by its upper half once, and each entry of ``a``
     meets only the entries of ``b`` whose upper half is its lower half.
@@ -402,10 +405,16 @@ def _free_product(a: dict, b: dict, n: int) -> dict:
     rows = {}
     for idx, right in b.items():
         rows.setdefault(idx[:n], []).append((idx[n:], right))
-    out = {}
     for idx, left in a.items():
         for lower, right in rows.get(idx[n:], ()):
-            _concatenations(left._terms, right._terms, out.setdefault(idx[:n] + lower, {}))
+            yield idx[:n] + lower, left, right
+
+
+def _free_product(a: dict, b: dict, n: int) -> dict:
+    """Matrix product of rank-2n entry maps in the free algebra (no rewriting)."""
+    out = {}
+    for idx, left, right in _matching_entries(a, b, n):
+        _concatenations(left._terms, right._terms, out.setdefault(idx, {}))
     return {idx: Element._wrap(terms) for idx, terms in out.items() if terms}
 
 

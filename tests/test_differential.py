@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsuperplane import algebra, differential, presentations
+from hsuperplane import algebra, differential, presentations, reset
 from hsuperplane.algebra import (
     AlgebraError,
     AlgebraMorphism,
@@ -426,6 +426,38 @@ def test_operator_relations_catch_a_wrong_derivation(monkeypatch):
     failed = [(entry.label, entry.normal_form) for entry in report.entries if not entry.passed]
     assert failed == [("operator realization matches the derivation", "h*dth^2 -> -h*dth^2")]
     assert len(report.entries) == 8
+
+@pytest.fixture
+def planted_engine():
+    """A fresh engine for a test that plants a fault, and another after it:
+    ``d_memo`` and the ``dsquared`` inputs outlive a test, so neither may
+    hold what was computed under the fault, or before it."""
+    reset()
+    yield
+    reset()
+
+
+def test_dsquared_report_prints_the_leibniz_failures_of_even_signs(planted_engine, monkeypatch):
+    # each residual is summed in one dict; only printing orders its terms
+    monkeypatch.setattr(differential, "_LEIBNIZ_SIGNS", (ONE, ONE))
+    failures = [entry.normal_form for entry in dsquared_report().entries if not entry.passed]
+    assert failures == [
+        "[FAIL] Leibniz on (4*h, 1 - 2*q^2*dth*th*x + (2*q^4+2*q)*h*dx*th*x): "
+        "-16*q^2*h*dth^2*x + 16*q^3*h*dth*dx*th",
+        "[FAIL] Leibniz on (-th, -2 + dth - x^2): 2*h*dth*dx - 4*dx*th*x - 4*h*dx*x^2",
+    ]
+
+
+def test_operator_report_prints_the_failures_of_a_wrong_dth(planted_engine, monkeypatch):
+    # dth is both the letter that d*th + th*d must act as and the one that d
+    # must commute with
+    monkeypatch.setitem(differential._GENERATORS, "dth", gen("dx"))
+    failed = [(e.label, e.normal_form) for e in operator_report().entries if not e.passed]
+    assert failed == [
+        ("d*th + th*d acts as dth", "1 -> dth - dx"),
+        ("d commutes with dth", "th -> -2*dth*dx"),
+    ]
+
 
 def test_memo_hits_of_d_and_act_hand_back_the_stored_element():
     assert d_operator() is d_operator()

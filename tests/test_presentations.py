@@ -451,6 +451,35 @@ def test_a_wrong_image_breaks_descent(build, generator, image):
     assert any(not r.is_zero() for r in planted.values())
 
 
+def _suite_map(name: str) -> AlgebraMorphism:
+    """One of the four maps whose suites check only rules."""
+    if name == "star":
+        return presentations._star()
+    if name == "transport":
+        return presentations._contraction_maps(get_presentation("qh-calculus"))[0]
+    return dict(zip(("delta", "control"), presentations._coaction_maps()))[name]
+
+
+@pytest.mark.parametrize("name", ["delta", "control", "star", "transport"])
+def test_suite_maps_send_every_default_to_zero(name):
+    # relation_residuals walks the rules; of each source's 25 pair-table
+    # entries, the 6 commutations with h are defaults with no rule
+    phi = _suite_map(name)
+    residuals = _pair_residuals(phi)
+    defaults = {pair: r for pair, r in residuals.items() if pair not in phi.source.rules}
+    assert len(residuals) == 25
+    assert sorted(defaults) == [(g, "h") for g in ("dth", "dx", "pth", "px", "th", "x")]
+    assert all(r.is_zero() for r in defaults.values())
+
+
+def test_a_wrong_image_of_h_breaks_a_default():
+    delta = _suite_map("delta")
+    images = {**delta.images, "h": delta.target.parse("h + th")}
+    planted = _pair_residuals(AlgebraMorphism(delta.source, delta.target, images))
+    # each of the six commutations with h then fails
+    assert all(not planted[g, "h"].is_zero() for g in ("dth", "dx", "pth", "px", "th", "x"))
+
+
 def test_oscillator_cross_relations_hold_in_the_calculus():
     p = get_presentation("qh-calculus")
     a_plus = gen("x")

@@ -12,7 +12,10 @@ forms of a freshly built one.  A non-confluent presentation pins down the
 leftmost semantics, where strategies disagree.  A planted presentation
 whose one-term rules carry non-unit coefficients checks the single-term
 rewrites.  ``multiply`` must equal the normal form of the free product and
-normalise exactly its words.  Emptying a presentation's stops, so that each
+normalise exactly its words.  The kernel behind it, ``_add_products``, must
+add the normal form of a sum of products to the dict it is given, fold
+exactly the uncached words of the free sum once they cancel, and change no
+cached value.  Emptying a presentation's stops, so that each
 product is keyed by its whole word, must change no normal form or product;
 so must emptying its blocks, so that an interleaved word is folded as it
 stands rather than as its block-sorted word.  A product stored apart from
@@ -244,6 +247,61 @@ def test_multiply_normalises_the_words_of_the_product(name):
         normalised = set(p._nf_cache)
         assert via_multiply == p.normal_form(product)
         assert normalised == set(product.words())
+
+    check()
+
+
+@pytest.mark.parametrize("name", CATALOGUE_NAMES)
+def test_add_products_reads_cached_words_and_folds_the_cancelled_rest(name, monkeypatch):
+    """``_add_products(out, products)`` adds the sum of sign * normal_form(a * b)
+    to ``out``.  It folds exactly the words of the free sum that the cache
+    lacks, after they cancel across its triples: the last two triples always
+    cancel the word u*v*w.  It reads the other words from the cache and
+    changes no cached value."""
+    p = get_presentation(name)
+    kernel = rebuilt(p)
+    folded = []
+    fold_word = kernel._fold_word
+
+    def recorded(start, spent, budget):
+        folded.append(start)
+        return fold_word(start, spent, budget)
+
+    monkeypatch.setattr(kernel, "_fold_word", recorded)
+    names = st.sampled_from(p.generator_names())
+    terms = st.tuples(st.lists(names, max_size=3).map(tuple), st.sampled_from(SCALARS))
+    elements = st.lists(terms, max_size=3).map(
+        lambda pairs: sum((Element.word(w, c) for w, c in pairs), Element.zero())
+    )
+    triples = st.lists(
+        st.tuples(elements, elements, st.sampled_from((ONE, sc(-1)))), min_size=1, max_size=3
+    )
+
+    @MULTIPLY
+    @given(triples, elements, names, names, names, st.randoms(use_true_random=False))
+    def check(triples, start, u, v, w, rng):
+        triples = triples + [(word(u), word(v, w), ONE), (word(u, v), word(w), sc(-1))]
+        free = sum(((a * b).scale(sign) for a, b, sign in triples), Element.zero())
+        expected = start + sum(
+            (p.normal_form(a * b).scale(sign) for a, b, sign in triples), Element.zero()
+        )
+        products = [(a._terms, b._terms, sign) for a, b, sign in triples]
+        words = sorted({w1 + w2 for a, b, _ in triples for w1 in a.words() for w2 in b.words()})
+        for warm in (False, True):
+            kernel._nf_cache.clear()
+            for cached in words:
+                if warm and rng.random() < 0.5:
+                    kernel.normal_form(Element.word(cached))
+            before = dict(kernel._nf_cache)
+            snapshot = {cached: dict(terms) for cached, terms in before.items()}
+            folded.clear()
+            out = dict(start._terms)
+            assert kernel._add_products(out, products) is out
+            assert Element(out) == expected
+            assert sorted(folded) == sorted(set(free.words()) - set(before))
+            for cached, terms in before.items():
+                assert kernel._nf_cache[cached] is terms
+                assert terms == snapshot[cached]
 
     check()
 
